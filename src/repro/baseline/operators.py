@@ -12,11 +12,22 @@ identical result sets for the same plans.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.hw.host import Host
-from repro.relational.expressions import bind_aggregates
+from repro.relational.kernels import (
+    AggKernel,
+    filter_kernel,
+    join_keys,
+    partition,
+    probe,
+    project_kernel,
+    row_fn,
+    scan_kernel,
+    split_groups,
+)
 from repro.relational.plans import (
     Aggregate,
     AntiJoin,
@@ -78,6 +89,27 @@ class ExecContext:
             self.temp_files.remove(temp)
         self.sm.drop_temp_file(temp)
 
+    def spill_partitions(self, rows, keys, nparts, label) -> Generator:
+        """Coroutine: grace-join fan-out of *rows* into ``nparts``
+        tracked temp files; returns the files."""
+        buckets = partition(keys(rows), rows, nparts)
+        yield from self.cpu(len(rows))
+        parts = []
+        for bucket in buckets:
+            # Born tracked, so a fault mid-write leaves no orphan file.
+            part = self.track_temp(self.sm.create_temp_file(64, label=label))
+            yield from self.sm.write_run(part, bucket)
+            parts.append(part)
+        return parts
+
+    def read_temp(self, temp) -> Generator:
+        """Coroutine: every row of a temp file, in page order."""
+        rows: List[tuple] = []
+        for block in range(temp.num_pages):
+            page = yield from self.sm.read_temp_page(temp, block)
+            rows.extend(page.rows())
+        return rows
+
 
 class Operator:
     """Base iterator operator."""
@@ -108,10 +140,7 @@ class ScanOp(Operator):
         self.plan = plan
         self.table = plan.table
         base = ctx.sm.catalog.table_schema(plan.table)
-        self._pred = plan.predicate.bind(base) if plan.predicate else None
-        self._proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        self._kernel = scan_kernel(plan.predicate, plan.project, base)
         self._num_pages = ctx.sm.num_pages(plan.table)
         # Recovery resume: visit exactly the unconsumed page suffix in
         # wrapped order; a fresh scan visits every page from 0.
@@ -134,10 +163,8 @@ class ScanOp(Operator):
             self._visited += 1
             rows = page.rows()
             yield from self.ctx.cpu(len(rows))
-            if self._pred is not None:
-                rows = [row for row in rows if self._pred(row)]
-            if self._proj is not None:
-                rows = [self._proj(row) for row in rows]
+            if self._kernel is not None:
+                rows = self._kernel(rows)
             if self.ctx.lineage is not None:
                 self.ctx.lineage.scan_page(
                     self._stream, self.table, block, len(rows),
@@ -165,10 +192,7 @@ class IndexScanOp(Operator):
         info = ctx.sm.catalog.index(plan.table, plan.index)
         self._clustered = info.clustered
         self._key_fn = ctx.sm._key_fn(base, info.key_columns)
-        self._pred = plan.predicate.bind(base) if plan.predicate else None
-        self._proj = (
-            base.projector(plan.project) if plan.project is not None else None
-        )
+        self._kernel = scan_kernel(plan.predicate, plan.project, base)
         self._rids: Optional[List] = None
         self._page_no: Optional[int] = None
         self._stopped = False
@@ -211,10 +235,8 @@ class IndexScanOp(Operator):
                     if (plan.lo is None or self._key_fn(row) >= plan.lo)
                     and (plan.hi is None or self._key_fn(row) <= plan.hi)
                 ]
-            if self._pred is not None:
-                rows = [row for row in rows if self._pred(row)]
-            if self._proj is not None:
-                rows = [self._proj(row) for row in rows]
+            if self._kernel is not None:
+                rows = self._kernel(rows)
             if rows:
                 return rows
         return None
@@ -243,10 +265,8 @@ class IndexScanOp(Operator):
                     group.append(row)
                 self._cursor += 1
             yield from self.ctx.cpu(len(group))
-            if self._pred is not None:
-                group = [row for row in group if self._pred(row)]
-            if self._proj is not None:
-                group = [self._proj(row) for row in group]
+            if self._kernel is not None:
+                group = self._kernel(group)
             out.extend(group)
         return out or None
 
@@ -258,7 +278,7 @@ class FilterOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self._pred = plan.predicate.bind(child.schema)
+        self._keep = filter_kernel(plan.predicate, child.schema)
 
     def next_batch(self):
         while True:
@@ -266,7 +286,7 @@ class FilterOp(Operator):
             if batch is None:
                 return None
             yield from self.ctx.cpu(len(batch))
-            kept = [row for row in batch if self._pred(row)]
+            kept = self._keep(batch)
             if kept:
                 return kept
 
@@ -276,18 +296,14 @@ class ProjectOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        if plan.exprs is None:
-            self._fn = child.schema.projector(plan.names)
-        else:
-            bound = [e.bind(child.schema) for e in plan.exprs]
-            self._fn = lambda row: tuple(fn(row) for fn in bound)
+        self._project = project_kernel(plan.names, plan.exprs, child.schema)
 
     def next_batch(self):
         batch = yield from self.child.next_batch()
         if batch is None:
             return None
         yield from self.ctx.cpu(len(batch))
-        return [self._fn(row) for row in batch]
+        return self._project(batch)
 
 
 class SortOp(Operator):
@@ -453,8 +469,8 @@ class HashJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._lkey = left.schema.projector([plan.left_key])
-        self._rkey = right.schema.projector([plan.right_key])
+        self._lkeys = join_keys(plan.left_key, left.schema)
+        self._rkeys = join_keys(plan.right_key, right.schema)
         self._table: Optional[Dict] = None
         self._partitioned = False
         self._lparts: List = []
@@ -479,8 +495,7 @@ class HashJoinOp(Operator):
             if self._partitioned:
                 overflow.extend(batch)
             else:
-                for row in batch:
-                    table.setdefault(self._lkey(row), []).append(row)
+                split_groups(self._lkeys(batch), batch, table)
         if not self._partitioned:
             self._table = table
             return
@@ -490,36 +505,14 @@ class HashJoinOp(Operator):
         nparts = max(
             2, -(-len(all_rows) // max(1, self.ctx.work_mem_tuples // 2))
         )
-        self._lparts = yield from self._partition(
-            all_rows, self._lkey, nparts, "hjL"
+        self._lparts = yield from self.ctx.spill_partitions(
+            all_rows, self._lkeys, nparts, "hjL"
         )
         rrows = yield from self.right.drain()
-        self._rparts = yield from self._partition(
-            rrows, self._rkey, nparts, "hjR"
+        self._rparts = yield from self.ctx.spill_partitions(
+            rrows, self._rkeys, nparts, "hjR"
         )
         self._part_iter = iter(range(nparts))
-
-    def _partition(self, rows, key, nparts, label):
-        buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-        for row in rows:
-            buckets[hash(key(row)) % nparts].append(row)
-        yield from self.ctx.cpu(len(rows))
-        parts = []
-        for bucket in buckets:
-            # Born tracked, so a fault mid-write leaves no orphan file.
-            part = self.ctx.track_temp(
-                self.ctx.sm.create_temp_file(64, label=label)
-            )
-            yield from self.ctx.sm.write_run(part, bucket)
-            parts.append(part)
-        return parts
-
-    def _read_part(self, part):
-        rows: List[tuple] = []
-        for block in range(part.num_pages):
-            page = yield from self.ctx.sm.read_temp_page(part, block)
-            rows.extend(page.rows())
-        return rows
 
     def next_batch(self):
         if self._done:
@@ -537,10 +530,7 @@ class HashJoinOp(Operator):
                     self._done = True
                     return None
                 yield from self.ctx.cpu(len(batch))
-                out: List[tuple] = []
-                for rrow in batch:
-                    for lrow in table.get(self._rkey(rrow), ()):
-                        out.append(lrow + rrow)
+                out = probe(table, self._rkeys(batch), batch)
                 if out:
                     return out
         # Partitioned path: join one partition pair at a time.
@@ -556,15 +546,11 @@ class HashJoinOp(Operator):
                 for part in self._lparts + self._rparts:
                     self.ctx.drop_temp(part)
                 return None
-            lrows = yield from self._read_part(self._lparts[p])
-            rrows = yield from self._read_part(self._rparts[p])
+            lrows = yield from self.ctx.read_temp(self._lparts[p])
+            rrows = yield from self.ctx.read_temp(self._rparts[p])
             yield from self.ctx.cpu(len(lrows) + len(rrows))
-            table: Dict[Any, List[tuple]] = {}
-            for row in lrows:
-                table.setdefault(self._lkey(row), []).append(row)
-            for rrow in rrows:
-                for lrow in table.get(self._rkey(rrow), ()):
-                    self._pending.append(lrow + rrow)
+            table = split_groups(self._lkeys(lrows), lrows)
+            self._pending.extend(probe(table, self._rkeys(rrows), rrows))
 
 
 class MergeJoinOp(Operator):
@@ -578,8 +564,8 @@ class MergeJoinOp(Operator):
         self.right = right
         self._lkey = left.schema.projector([plan.left_key])
         self._rkey = right.schema.projector([plan.right_key])
-        self._lbuf: List[tuple] = []
-        self._rbuf: List[tuple] = []
+        self._lbuf: deque = deque()
+        self._rbuf: deque = deque()
         self._lend = False
         self._rend = False
         self._done = False
@@ -615,9 +601,9 @@ class MergeJoinOp(Operator):
             lkey = self._lkey(self._lbuf[0])
             rkey = self._rkey(self._rbuf[0])
             if lkey < rkey:
-                self._lbuf.pop(0)
+                self._lbuf.popleft()
             elif rkey < lkey:
-                self._rbuf.pop(0)
+                self._rbuf.popleft()
             else:
                 # Gather the full duplicate groups on both sides.
                 lgroup = yield from self._take_group(
@@ -636,7 +622,7 @@ class MergeJoinOp(Operator):
         group: List[tuple] = []
         while True:
             while buf and key(buf[0]) == value:
-                group.append(buf.pop(0))
+                group.append(buf.popleft())
             if buf or getattr(self, end_attr):
                 return group
             yield from fill()
@@ -654,7 +640,7 @@ class NLJoinOp(Operator):
         self.ctx = ctx
         self.left = left
         self.right = right
-        self._pred = plan.predicate.bind(self.schema)
+        self._keep = filter_kernel(plan.predicate, self.schema)
         self._right_mat = None
         self._done = False
 
@@ -688,11 +674,9 @@ class NLJoinOp(Operator):
                 )
                 rrows = page.rows()
                 yield from self.ctx.cpu(len(batch) * len(rrows))
-                for lrow in batch:
-                    for rrow in rrows:
-                        joined = lrow + rrow
-                        if self._pred(joined):
-                            out.append(joined)
+                out.extend(self._keep(
+                    [lrow + rrow for lrow in batch for rrow in rrows]
+                ))
             if out:
                 return out
 
@@ -842,7 +826,7 @@ class AggregateOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self.specs, self._fns = bind_aggregates(plan.aggs, child.schema)
+        self._kernel = AggKernel(plan.aggs, child.schema)
         self._done = False
 
     #: Consumed input batches between lineage checkpoints of the
@@ -852,7 +836,7 @@ class AggregateOp(Operator):
     def next_batch(self):
         if self._done:
             return None
-        states = [spec.make_state() for spec in self.specs]
+        states = self._kernel.new_states()
         lineage = self.ctx.lineage
         consumed = 0
         batches = 0
@@ -861,9 +845,7 @@ class AggregateOp(Operator):
             if batch is None:
                 break
             yield from self.ctx.cpu(len(batch) * len(states))
-            for row in batch:
-                for state, fn in zip(states, self._fns):
-                    state.add(fn(row))
+            self._kernel.update(states, batch)
             consumed += len(batch)
             batches += 1
             if lineage is not None and batches % self.CHECKPOINT_EVERY == 0:
@@ -872,7 +854,7 @@ class AggregateOp(Operator):
                     [(s.count, s.total, s.best) for s in states],
                 )
         self._done = True
-        return [tuple(state.result() for state in states)]
+        return [self._kernel.result(states)]
 
 
 class GroupByOp(Operator):
@@ -882,8 +864,7 @@ class GroupByOp(Operator):
         super().__init__(plan.output_schema(ctx.sm.catalog))
         self.ctx = ctx
         self.child = child
-        self.specs, self._fns = bind_aggregates(plan.aggs, child.schema)
-        self._group = child.schema.projector(plan.group_cols)
+        self._kernel = AggKernel(plan.aggs, child.schema, plan.group_cols)
         self._result: Optional[List[tuple]] = None
         self._cursor = 0
 
@@ -893,19 +874,11 @@ class GroupByOp(Operator):
             batch = yield from self.child.next_batch()
             if batch is None:
                 break
-            yield from self.ctx.cpu(len(batch) * max(1, len(self.specs)))
-            for row in batch:
-                key = self._group(row)
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in self.specs]
-                    groups[key] = states
-                for state, fn in zip(states, self._fns):
-                    state.add(fn(row))
-        self._result = [
-            key + tuple(state.result() for state in states)
-            for key, states in sorted(groups.items())
-        ]
+            yield from self.ctx.cpu(
+                len(batch) * max(1, len(self._kernel.specs))
+            )
+            self._kernel.update_groups(groups, batch)
+        self._result = self._kernel.group_results(groups)
 
     def next_batch(self):
         if self._result is None:
@@ -958,7 +931,7 @@ class UpdateOp(Operator):
         owner = self.ctx.owner or id(self)
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
-        pred = self.plan.predicate.bind(schema) if self.plan.predicate else None
+        pred = row_fn(self.plan.predicate, schema) if self.plan.predicate else None
         yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         changed = 0
         try:
@@ -994,7 +967,7 @@ class DeleteOp(Operator):
         owner = self.ctx.owner or id(self)
         table = self.plan.table
         schema = self.ctx.sm.catalog.table_schema(table)
-        pred = self.plan.predicate.bind(schema) if self.plan.predicate else None
+        pred = row_fn(self.plan.predicate, schema) if self.plan.predicate else None
         yield self.ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         removed = 0
         try:

@@ -16,7 +16,7 @@ from typing import Dict, Generator, List
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
-from repro.relational.expressions import bind_aggregates
+from repro.relational.kernels import AggKernel
 
 OUT_BATCH = 1024
 
@@ -31,9 +31,10 @@ class AggEngine(MicroEngine):
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
         query = packet.query
-        child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        specs, fns = bind_aggregates(plan.aggs, child_schema)
-        states = [spec.make_state() for spec in specs]
+        kernel = AggKernel(
+            plan.aggs, plan.child.output_schema(self.engine.sm.catalog)
+        )
+        states = kernel.new_states()
         source = packet.inputs[0]
         lineage = query.lineage
         consumed = 0
@@ -47,9 +48,7 @@ class AggEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch) * len(states))
-            for row in batch:
-                for state, fn in zip(states, fns):
-                    state.add(fn(row))
+            kernel.update(states, batch)
             consumed += len(batch)
             batches += 1
             if lineage is not None and batches % CHECKPOINT_EVERY == 0:
@@ -61,9 +60,7 @@ class AggEngine(MicroEngine):
                     [(s.count, s.total, s.best) for s in states],
                 )
         packet.phase = "emit"
-        yield from packet.output.put(
-            [tuple(state.result() for state in states)]
-        )
+        yield from packet.output.put([kernel.result(states)])
 
 
 class FoldBank:
@@ -89,30 +86,30 @@ class FoldBank:
         self._pairs: Dict[str, tuple] = {}
         self._order: List[str] = []
 
-    def enroll(self, specs, fns):
-        """Register one member's bound aggregates; dedupe by signature.
+    def enroll(self, specs, updaters):
+        """Register one member's aggregates (their batch updaters from
+        an :class:`AggKernel`); dedupe by signature.
 
         Returns ``(sigs, fresh)``: the member's own signature list (its
         result row is ``result_for(sigs)``) and the newly created
-        ``(state, fn)`` pairs the caller must replay history into.
+        ``(state, update)`` pairs the caller must replay history into.
         """
         sigs: List[str] = []
         fresh: List[tuple] = []
-        for spec, fn in zip(specs, fns):
+        for spec, update in zip(specs, updaters):
             sig = spec.signature()
             sigs.append(sig)
             if sig not in self._pairs:
-                pair = (spec.make_state(), fn)
+                pair = (spec.make_state(), update)
                 self._pairs[sig] = pair
                 self._order.append(sig)
                 fresh.append(pair)
         return sigs, fresh
 
     def add_batch(self, rows) -> None:
-        pairs = [self._pairs[sig] for sig in self._order]
-        for row in rows:
-            for state, fn in pairs:
-                state.add(fn(row))
+        for sig in self._order:
+            state, update = self._pairs[sig]
+            update(state, rows)
 
     def result_for(self, sigs) -> tuple:
         return tuple(self._pairs[sig][0].result() for sig in sigs)
@@ -126,10 +123,11 @@ class GroupByEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
-        child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        specs, fns = bind_aggregates(plan.aggs, child_schema)
-        group = child_schema.projector(plan.group_cols)
+        kernel = AggKernel(
+            plan.aggs,
+            plan.child.output_schema(self.engine.sm.catalog),
+            plan.group_cols,
+        )
         source = packet.inputs[0]
 
         packet.phase = "group"
@@ -140,19 +138,11 @@ class GroupByEngine(MicroEngine):
                 break
             if batch is SEGMENT_BOUNDARY:
                 continue
-            yield from self.charge(packet, len(batch) * max(1, len(specs)))
-            for row in batch:
-                key = group(row)
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in specs]
-                    groups[key] = states
-                for state, fn in zip(states, fns):
-                    state.add(fn(row))
+            yield from self.charge(
+                packet, len(batch) * max(1, len(kernel.specs))
+            )
+            kernel.update_groups(groups, batch)
         packet.phase = "emit"
-        result: List[tuple] = [
-            key + tuple(state.result() for state in states)
-            for key, states in sorted(groups.items())
-        ]
+        result = kernel.group_results(groups)
         for start in range(0, len(result), OUT_BATCH):
             yield from packet.output.put(result[start:start + OUT_BATCH])

@@ -28,6 +28,7 @@ from repro.engine.buffers import TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
+from repro.relational.kernels import scan_kernel
 from repro.sim import ChannelClosed
 
 
@@ -48,23 +49,14 @@ class IScanEngine(MicroEngine):
             yield from self._serve_unclustered(packet)
 
     # -- helpers ----------------------------------------------------------
-    def _row_fns(self, packet: Packet):
-        sm = self.engine.sm
+    def _kernel(self, packet: Packet):
+        """The packet's predicate + projection as one batch kernel."""
         plan = packet.plan
-        base = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project) if plan.project is not None else None
+        return scan_kernel(
+            plan.predicate,
+            plan.project,
+            self.engine.sm.catalog.table_schema(plan.table),
         )
-        return pred, proj
-
-    @staticmethod
-    def _apply(rows, pred, proj):
-        if pred is not None:
-            rows = [row for row in rows if pred(row)]
-        if proj is not None:
-            rows = [proj(row) for row in rows]
-        return rows
 
     # ------------------------------------------------------------------
     # Clustered path
@@ -72,7 +64,7 @@ class IScanEngine(MicroEngine):
     def _serve_clustered(self, packet: Packet, info) -> Generator:
         sm = self.engine.sm
         plan = packet.plan
-        pred, proj = self._row_fns(packet)
+        kernel = self._kernel(packet)
         base = sm.catalog.table_schema(plan.table)
         key_fn = sm._key_fn(base, info.key_columns)
 
@@ -84,7 +76,7 @@ class IScanEngine(MicroEngine):
         packet.artifacts["key_fn"] = key_fn
         packet.phase = "fetch"
         yield from self._fetch_clustered(
-            packet, start_page, None, pred, proj, key_fn,
+            packet, start_page, None, kernel, key_fn,
             output=packet.output, track_cursor=True,
         )
 
@@ -102,8 +94,7 @@ class IScanEngine(MicroEngine):
         packet: Packet,
         start_page: int,
         stop_page,
-        pred,
-        proj,
+        kernel,
         key_fn,
         output,
         track_cursor: bool,
@@ -130,7 +121,8 @@ class IScanEngine(MicroEngine):
                     if (plan.lo is None or key_fn(row) >= plan.lo)
                     and (plan.hi is None or key_fn(row) <= plan.hi)
                 ]
-            rows = self._apply(rows, pred, proj)
+            if kernel is not None:
+                rows = kernel(rows)
             if rows:
                 yield from output.put(rows)
             page_no += 1
@@ -143,7 +135,7 @@ class IScanEngine(MicroEngine):
     def _serve_unclustered(self, packet: Packet) -> Generator:
         sm = self.engine.sm
         plan = packet.plan
-        pred, proj = self._row_fns(packet)
+        kernel = self._kernel(packet)
         packet.phase = "rid_list"
         pairs = yield from sm.index_range(
             plan.table, plan.index, plan.lo, plan.hi
@@ -155,7 +147,7 @@ class IScanEngine(MicroEngine):
         packet.artifacts["cursor"] = 0
         packet.phase = "fetch"
         yield from self._fetch_rids(
-            packet, pairs, 0, len(pairs), pred, proj,
+            packet, pairs, 0, len(pairs), kernel,
             output=packet.output, track_cursor=True,
         )
 
@@ -165,8 +157,7 @@ class IScanEngine(MicroEngine):
         pairs: List[Tuple],
         start: int,
         stop: int,
-        pred,
-        proj,
+        kernel,
         output,
         track_cursor: bool = False,
     ) -> Generator:
@@ -193,7 +184,8 @@ class IScanEngine(MicroEngine):
                     group.append(row)
                 j += 1
             yield from self.charge(packet, len(group))
-            group = self._apply(group, pred, proj)
+            if kernel is not None:
+                group = kernel(group)
             if group:
                 yield from output.put(group)
             i = j
@@ -275,7 +267,7 @@ class IScanEngine(MicroEngine):
 
     def _split_relay(self, host: Packet, packet: Packet) -> Generator:
         """Segment A from the host, a boundary marker, then segment B."""
-        pred, proj = self._row_fns(packet)
+        kernel = self._kernel(packet)
         seg_a = TupleBuffer(
             self.sim,
             capacity_tuples=self.engine.config.buffer_tuples,
@@ -308,8 +300,7 @@ class IScanEngine(MicroEngine):
                     packet,
                     boundary["start_page"],
                     boundary["cursor"],
-                    pred,
-                    proj,
+                    kernel,
                     boundary["key_fn"],
                     output=out,
                     track_cursor=False,
@@ -320,8 +311,7 @@ class IScanEngine(MicroEngine):
                     boundary["pairs"],
                     0,
                     boundary["cursor"],
-                    pred,
-                    proj,
+                    kernel,
                     output=out,
                 )
         except ChannelClosed:

@@ -18,6 +18,13 @@ from typing import Dict, Generator, List
 from repro.engine.buffers import SEGMENT_BOUNDARY, TupleBuffer
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational.kernels import (
+    filter_kernel,
+    join_keys,
+    partition,
+    probe,
+    split_groups,
+)
 
 OUT_BATCH = 256
 
@@ -29,8 +36,8 @@ class HashJoinEngine(MicroEngine):
         plan = packet.plan
         query = packet.query
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
+        lkeys = join_keys(plan.left_key, plan.left.output_schema(catalog))
+        rkeys = join_keys(plan.right_key, plan.right.output_schema(catalog))
         left_in, right_in = packet.inputs
 
         packet.phase = "build"
@@ -44,10 +51,9 @@ class HashJoinEngine(MicroEngine):
                 continue
             yield from self.charge(packet, len(batch))
             count += len(batch)
-            for row in batch:
-                table.setdefault(lkey(row), []).append(row)
+            split_groups(lkeys(batch), batch, table)
         if count > query.work_mem_tuples:
-            yield from self._grace_join(packet, table, lkey, rkey, right_in)
+            yield from self._grace_join(packet, table, lkeys, rkeys, right_in)
             return
 
         packet.phase = "probe"
@@ -58,16 +64,13 @@ class HashJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            pending: List[tuple] = []
-            for rrow in batch:
-                for lrow in table.get(rkey(rrow), ()):
-                    pending.append(lrow + rrow)
+            pending = probe(table, rkeys(batch), batch)
             # Pipelined: matches ship as soon as they are produced, so
             # the probe phase's step window closes honestly.
             if pending:
                 yield from packet.output.put(pending)
 
-    def _grace_join(self, packet, table, lkey, rkey, right_in) -> Generator:
+    def _grace_join(self, packet, table, lkeys, rkeys, right_in) -> Generator:
         """Partitioned fallback when the build side overflows memory."""
         query = packet.query
         sm = self.engine.sm
@@ -76,11 +79,8 @@ class HashJoinEngine(MicroEngine):
         rrows = yield from right_in.drain()
         nparts = max(2, -(-len(lrows) // max(1, query.work_mem_tuples // 2)))
 
-        def spill(rows, key, label, parts):
-            buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-            for row in rows:
-                buckets[hash(key(row)) % nparts].append(row)
-            for bucket in buckets:
+        def spill(rows, keys, label, parts):
+            for bucket in partition(keys(rows), rows, nparts):
                 part = sm.create_temp_file(64, label=label)
                 # Registered before the (interruptible) write so the
                 # caller's fault sweep sees a half-written partition.
@@ -91,8 +91,8 @@ class HashJoinEngine(MicroEngine):
         lparts: List = []
         rparts: List = []
         try:
-            yield from spill(lrows, lkey, "hjL", lparts)
-            yield from spill(rrows, rkey, "hjR", rparts)
+            yield from spill(lrows, lkeys, "hjL", lparts)
+            yield from spill(rrows, rkeys, "hjR", rparts)
 
             packet.phase = "probe"
             for p in range(nparts):
@@ -100,17 +100,13 @@ class HashJoinEngine(MicroEngine):
                 for block in range(lparts[p].num_pages):
                     page = yield from sm.read_temp_page(lparts[p], block)
                     lpart_rows.extend(page.rows())
-                sub: Dict = {}
-                for row in lpart_rows:
-                    sub.setdefault(lkey(row), []).append(row)
+                sub = split_groups(lkeys(lpart_rows), lpart_rows)
                 pending: List[tuple] = []
                 for block in range(rparts[p].num_pages):
                     page = yield from sm.read_temp_page(rparts[p], block)
                     rows = page.rows()
                     yield from self.charge(packet, len(rows))
-                    for rrow in rows:
-                        for lrow in sub.get(rkey(rrow), ()):
-                            pending.append(lrow + rrow)
+                    pending.extend(probe(sub, rkeys(rows), rows))
                 if pending:
                     yield from packet.output.put(pending)
         finally:
@@ -325,8 +321,7 @@ class NLJoinEngine(MicroEngine):
         plan = packet.plan
         query = packet.query
         sm = self.engine.sm
-        schema = plan.output_schema(sm.catalog)
-        pred = plan.predicate.bind(schema)
+        keep = filter_kernel(plan.predicate, plan.output_schema(sm.catalog))
         left_in, right_in = packet.inputs
 
         packet.phase = "materialize"
@@ -348,11 +343,9 @@ class NLJoinEngine(MicroEngine):
                     page = yield from sm.read_temp_page(mat, block)
                     rows = page.rows()
                     yield from self.charge(packet, len(batch) * len(rows))
-                    for lrow in batch:
-                        for rrow in rows:
-                            joined = lrow + rrow
-                            if pred(joined):
-                                pending.append(joined)
+                    pending.extend(
+                        keep([lrow + rrow for lrow in batch for rrow in rows])
+                    )
                 if pending:
                     yield from packet.output.put(pending)
         finally:

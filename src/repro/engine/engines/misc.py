@@ -14,6 +14,7 @@ from typing import Generator
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational.kernels import filter_kernel, project_kernel, row_fn
 from repro.relational.plans import DeleteRows, InsertRows, UpdateRows
 from repro.storage.locks import LockMode
 from repro.storage.page import RID
@@ -24,12 +25,11 @@ class ProjectEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        child_schema = plan.child.output_schema(self.engine.sm.catalog)
-        if plan.exprs is None:
-            fn = child_schema.projector(plan.names)
-        else:
-            bound = [e.bind(child_schema) for e in plan.exprs]
-            fn = lambda row: tuple(b(row) for b in bound)  # noqa: E731
+        project = project_kernel(
+            plan.names,
+            plan.exprs,
+            plan.child.output_schema(self.engine.sm.catalog),
+        )
         source = packet.inputs[0]
         while True:
             batch = yield from source.get()
@@ -40,7 +40,7 @@ class ProjectEngine(MicroEngine):
                 yield from packet.primary_output.put_marker()
                 continue
             yield from self.charge(packet, len(batch))
-            yield from packet.output.put([fn(row) for row in batch])
+            yield from packet.output.put(project(batch))
 
 
 class FilterEngine(MicroEngine):
@@ -48,8 +48,8 @@ class FilterEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        pred = plan.predicate.bind(
-            plan.child.output_schema(self.engine.sm.catalog)
+        keep = filter_kernel(
+            plan.predicate, plan.child.output_schema(self.engine.sm.catalog)
         )
         source = packet.inputs[0]
         while True:
@@ -60,7 +60,7 @@ class FilterEngine(MicroEngine):
                 yield from packet.primary_output.put_marker()
                 continue
             yield from self.charge(packet, len(batch))
-            kept = [row for row in batch if pred(row)]
+            kept = keep(batch)
             if kept:
                 yield from packet.output.put(kept)
 
@@ -152,7 +152,7 @@ class UpdateEngine(MicroEngine):
         sm = self.engine.sm
         owner = ("q", packet.query.query_id, packet.packet_id)
         schema = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        pred = row_fn(plan.predicate, schema) if plan.predicate else None
         packet.phase = "lock"
         yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         packet.phase = "write"
@@ -173,7 +173,7 @@ class UpdateEngine(MicroEngine):
         sm = self.engine.sm
         owner = ("q", packet.query.query_id, packet.packet_id)
         schema = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        pred = row_fn(plan.predicate, schema) if plan.predicate else None
         packet.phase = "lock"
         yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         packet.phase = "write"

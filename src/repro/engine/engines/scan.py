@@ -19,6 +19,7 @@ from typing import Generator
 
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
+from repro.relational.kernels import scan_kernel
 from repro.storage.locks import LockMode
 
 
@@ -79,10 +80,8 @@ class FScanEngine(MicroEngine):
     def _standalone_scan(self, packet: Packet) -> Generator:
         sm = self.engine.sm
         plan = packet.plan
-        base = sm.catalog.table_schema(plan.table)
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project) if plan.project is not None else None
+        fused = scan_kernel(
+            plan.predicate, plan.project, sm.catalog.table_schema(plan.table)
         )
         # Section 4.3.4: a scan waits while the table is locked for writing.
         owner = ("scan", packet.query.query_id, packet.packet_id)
@@ -103,10 +102,8 @@ class FScanEngine(MicroEngine):
                 )
                 rows = page.rows()
                 yield from self.charge(packet, len(rows))
-                if pred is not None:
-                    rows = [row for row in rows if pred(row)]
-                if proj is not None:
-                    rows = [proj(row) for row in rows]
+                if fused is not None:
+                    rows = fused(rows)
                 if lineage is not None:
                     # Before put(): the page entry must exist by the time
                     # the root sees the batch and computes its frontier.

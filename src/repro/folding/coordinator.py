@@ -7,11 +7,11 @@ in flight or queued over the same table, the dispatcher attaches the new
 query as a *fold member* instead of dispatching its own scan.  One wide
 scan runs (the union of the members' predicates); each member receives
 exactly the rows its own predicate + projection would have produced, via
-a per-member residual filter compiled with the pushexec expression
-codegen.  Whole ``Aggregate(TableScan)`` queries additionally fold their
-aggregation into a shared accumulator bank (one accumulator per distinct
-aggregate over the same folded scan), so N similar aggregate queries cost
-one scan and one aggregation pass.
+a per-member residual filter compiled to a shared batch kernel
+(:mod:`repro.relational.kernels`).  Whole ``Aggregate(TableScan)``
+queries additionally fold their aggregation into a shared accumulator
+bank (one accumulator per distinct aggregate over the same folded scan),
+so N similar aggregate queries cost one scan and one aggregation pass.
 
 Correctness model:
 
@@ -39,8 +39,8 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.engine.engines.aggregates import FoldBank
 from repro.engine.packets import Packet, PacketState
 from repro.folding.stats import FoldStats
-from repro.pushexec.fusion import gen_filter, gen_scan_batch
-from repro.relational.expressions import Or, bind_aggregates
+from repro.relational.expressions import Or
+from repro.relational.kernels import AggKernel, filter_kernel, scan_kernel
 from repro.relational.plans import Aggregate, TableScan
 from repro.sql.planner import (
     fold_union,
@@ -48,26 +48,6 @@ from repro.sql.planner import (
     predicate_selectivity,
 )
 from repro.storage.locks import LockMode
-
-
-def _compile_residual(predicate, project, schema):
-    """``survivors -> member rows``: the member's own filter + projection.
-
-    Prefers the fused pushexec codegen; falls back to interpreted
-    bind/projector for expressions the flat renderer cannot handle.
-    """
-    fn = gen_scan_batch(predicate, project, schema)
-    if fn is not None:
-        return fn
-    pred = predicate.bind(schema) if predicate is not None else None
-    proj = schema.projector(project) if project is not None else None
-    if pred is None and proj is None:
-        return list
-    if pred is None:
-        return lambda rows: [proj(row) for row in rows]
-    if proj is None:
-        return lambda rows: [row for row in rows if pred(row)]
-    return lambda rows: [proj(row) for row in rows if pred(row)]
 
 
 def _term_count(predicate) -> int:
@@ -185,8 +165,8 @@ class FoldGroup:
         member = _Member(kind, packet)
         replay: Optional[List[Tuple[int, List[tuple]]]] = None
         if kind == "scan":
-            member.residual = _compile_residual(
-                pred, scan.plan.project, base
+            member.residual = (
+                scan_kernel(pred, scan.plan.project, base) or list
             )
             if self.blocks_done:
                 # Synchronous catch-up from the survivor ring: pre-check
@@ -248,27 +228,25 @@ class FoldGroup:
         bank = self.banks.get(scan.signature)
         if bank is None:
             bank = FoldBank(
-                _compile_residual(scan.plan.predicate, scan.plan.project,
-                                  base),
+                scan_kernel(scan.plan.predicate, scan.plan.project, base)
+                or list,
                 frontier=self.blocks_done,
             )
             self.banks[scan.signature] = bank
             stats.banks += 1
         plan = member.packet.plan
-        specs, fns = bind_aggregates(
-            plan.aggs, plan.child.output_schema(catalog)
-        )
+        kernel = AggKernel(plan.aggs, plan.child.output_schema(catalog))
         member.bank = bank
-        member.sigs, fresh = bank.enroll(specs, fns)
+        member.sigs, fresh = bank.enroll(kernel.specs, kernel.updaters)
         if fresh and bank.upto:
             # Catch fresh accumulators up from the survivor ring; states
             # already in the bank cover this prefix and must not see it
             # twice.  ``bank.upto`` (not ``blocks_done``) bounds the
             # replay so a join landing mid-page stays exactly-once.
             for block, rows in self.ring[:bank.upto]:
-                for row in bank.residual(rows):
-                    for state, fn in fresh:
-                        state.add(fn(row))
+                survivors = bank.residual(rows)
+                for state, update in fresh:
+                    update(state, survivors)
 
     # ------------------------------------------------------------------
     # The wide scan (runs as the host packet's serve coroutine)
@@ -285,11 +263,7 @@ class FoldGroup:
             if self.wide is None:
                 self._wide_filter = None
             else:
-                fn = gen_filter(self.wide, base)
-                if fn is None:
-                    pred = self.wide.bind(base)
-                    fn = lambda rows: [row for row in rows if pred(row)]
-                self._wide_filter = fn
+                self._wide_filter = filter_kernel(self.wide, base)
         return self._wide_filter
 
     def _scan(self) -> Generator:
@@ -297,7 +271,9 @@ class FoldGroup:
         host = self.host
         plan = host.plan
         base = sm.catalog.table_schema(self.table)
-        host_residual = _compile_residual(plan.predicate, plan.project, base)
+        host_residual = (
+            scan_kernel(plan.predicate, plan.project, base) or list
+        )
         mengine = self.engine.engines[host.engine_name]
         lineage = host.query.lineage
         # Section 4.3.4 as in the standalone scan: one table lock for the

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.engine.packets import Packet
 from repro.faults.errors import FaultError
+from repro.relational.kernels import scan_kernel
 from repro.sim import ChannelClosed, Event, Interrupted
 from repro.storage.locks import LockMode
 from repro.storage.streams import next_stream
@@ -36,8 +37,9 @@ class ScanConsumer:
     """One query's attachment to a circular scan."""
 
     packet: Packet
-    filter_fn: Optional[Callable]
-    project_fn: Optional[Callable]
+    #: The consumer's own predicate + projection as one batch kernel
+    #: (None: it takes every row as is).
+    kernel: Optional[Callable]
     pages_remaining: int
     done: Event
     delivered_pages: int = 0
@@ -95,10 +97,8 @@ class CircularScanManager:
         """
         plan = packet.plan
         table = plan.table
-        base = self.sm.catalog.table_schema(table)
-        filter_fn = plan.predicate.bind(base) if plan.predicate else None
-        project_fn = (
-            base.projector(plan.project) if plan.project is not None else None
+        kernel = scan_kernel(
+            plan.predicate, plan.project, self.sm.catalog.table_schema(table)
         )
         # Late activation: wait for the consumer to flag readiness.
         if getattr(self.engine.config, "late_activation", True):
@@ -116,8 +116,7 @@ class CircularScanManager:
         done.describe = f"circular scan of {table}"
         consumer = ScanConsumer(
             packet=packet,
-            filter_fn=filter_fn,
-            project_fn=project_fn,
+            kernel=kernel,
             pages_remaining=self.sm.num_pages(table),
             done=done,
         )
@@ -267,6 +266,16 @@ class CircularScanManager:
         disk = self.engine.host.config
         return 5.0 * (disk.disk_seek_time + disk.disk_transfer_time)
 
+    def _consume_page(self, consumer: ScanConsumer, rows) -> Generator:
+        """Coroutine: charge the consumer's CPU for a page, then run its
+        kernel over the page; returns the consumer's rows."""
+        yield from self.engine.engines["fscan"].charge(
+            consumer.packet, len(rows)
+        )
+        out = consumer.kernel(rows) if consumer.kernel is not None else rows
+        consumer.last_out = len(out)
+        return out
+
     def _deliver(self, consumer: ScanConsumer, rows, scan: CircularScan) -> Generator:
         """Coroutine: filter/project *rows* for one consumer and push them.
 
@@ -276,13 +285,7 @@ class CircularScanManager:
         packet = consumer.packet
         if packet.output.closed or packet.query.aborted:
             return "gone"
-        yield from self.engine.engines["fscan"].charge(packet, len(rows))
-        out = rows
-        if consumer.filter_fn is not None:
-            out = [row for row in out if consumer.filter_fn(row)]
-        if consumer.project_fn is not None:
-            out = [consumer.project_fn(row) for row in out]
-        consumer.last_out = len(out)
+        out = yield from self._consume_page(consumer, rows)
         if out:
             before = packet.primary_output.tuples_in
             try:
@@ -365,13 +368,7 @@ class CircularScanManager:
         packet = consumer.packet
         if packet.output.closed:
             return False
-        yield from self.engine.engines["fscan"].charge(packet, len(rows))
-        out = rows
-        if consumer.filter_fn is not None:
-            out = [row for row in out if consumer.filter_fn(row)]
-        if consumer.project_fn is not None:
-            out = [consumer.project_fn(row) for row in out]
-        consumer.last_out = len(out)
+        out = yield from self._consume_page(consumer, rows)
         if out:
             try:
                 yield from packet.primary_output.put(out)

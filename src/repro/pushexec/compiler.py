@@ -30,13 +30,22 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.baseline.operators import ExecContext, SortOp, _Neg
 from repro.pushexec import fusion
-from repro.relational.expressions import Col, bind_aggregates
+from repro.relational.kernels import (
+    AggKernel,
+    filter_kernel,
+    join_keys,
+    probe,
+    row_fn,
+    scan_kernel,
+    split_groups,
+)
 from repro.relational.plans import (
     Aggregate,
     AntiJoin,
@@ -165,15 +174,7 @@ def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     # The hot path: predicate + projection fused into one generated
     # whole-batch comprehension (no per-row closure calls at all).
-    fused = fusion.gen_scan_batch(plan.predicate, plan.project, base)
-    pred = proj = None
-    if fused is None:
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project)
-            if plan.project is not None
-            else None
-        )
+    fused = scan_kernel(plan.predicate, plan.project, base)
     num_pages = ctx.sm.num_pages(plan.table)
     # Recovery resume: visit exactly the unconsumed page suffix in
     # wrapped order; a fresh scan visits every page from 0.
@@ -196,11 +197,6 @@ def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
             yield from ctx.cpu(len(rows))
             if fused is not None:
                 rows = fused(rows)
-            else:
-                if pred is not None:
-                    rows = [row for row in rows if pred(row)]
-                if proj is not None:
-                    rows = [proj(row) for row in rows]
             if ctx.lineage is not None:
                 ctx.lineage.scan_page(
                     stream, plan.table, page_no, len(rows), num_pages
@@ -215,17 +211,8 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
     info = ctx.sm.catalog.index(plan.table, plan.index)
     key_fn = ctx.sm._key_fn(base, info.key_columns)
-    # Fused post-processing runs after the key-range filter, matching
-    # the pred-then-proj ordering below.
-    fused = fusion.gen_scan_batch(plan.predicate, plan.project, base)
-    pred = proj = None
-    if fused is None:
-        pred = plan.predicate.bind(base) if plan.predicate else None
-        proj = (
-            base.projector(plan.project)
-            if plan.project is not None
-            else None
-        )
+    # Fused post-processing runs after the key-range filter.
+    fused = scan_kernel(plan.predicate, plan.project, base)
 
     if info.clustered:
 
@@ -258,11 +245,6 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
                     ]
                 if fused is not None:
                     rows = fused(rows)
-                else:
-                    if pred is not None:
-                        rows = [row for row in rows if pred(row)]
-                    if proj is not None:
-                        rows = [proj(row) for row in rows]
                 if rows:
                     yield (_BATCH, rows)
                     # The iterator re-reads the page count at each batch
@@ -296,11 +278,6 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
             yield from ctx.cpu(len(group))
             if fused is not None:
                 group = fused(group)
-            else:
-                if pred is not None:
-                    group = [row for row in group if pred(row)]
-                if proj is not None:
-                    group = [proj(row) for row in group]
             out.extend(group)
             if out:
                 yield (_BATCH, out)
@@ -401,28 +378,6 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
     return run
 
 
-def _partition(ctx, rows, key, nparts, label):
-    """HashJoinOp._partition transliteration (shared by both sides)."""
-    buckets: List[List[tuple]] = [[] for _ in range(nparts)]
-    for row in rows:
-        buckets[hash(key(row)) % nparts].append(row)
-    yield from ctx.cpu(len(rows))
-    parts = []
-    for bucket in buckets:
-        part = ctx.track_temp(ctx.sm.create_temp_file(64, label=label))
-        yield from ctx.sm.write_run(part, bucket)
-        parts.append(part)
-    return parts
-
-
-def _read_part(ctx, part):
-    rows: List[tuple] = []
-    for block in range(part.num_pages):
-        page = yield from ctx.sm.read_temp_page(part, block)
-        rows.extend(page.rows())
-    return rows
-
-
 def _join_key(schema, col):
     """Bare-column join key.  The projector's 1-tuple wrapping only
     matters where keys reach output rows, which join keys never do;
@@ -433,14 +388,8 @@ def _join_key(schema, col):
 def _hashjoin_source(
     ctx, plan: HashJoin, left_factory, right_factory, lschema, rschema
 ) -> Callable:
-    lkey = _join_key(lschema, plan.left_key)
-    rkey = _join_key(rschema, plan.right_key)
-    # Partition fan-out IS simulated behavior (it decides temp-file
-    # page counts), so the grace path hashes the same 1-tuple keys the
-    # iterator hashes; the bare-column keys above only ever feed
-    # host-side dict lookups.
-    lkey_part = lschema.projector([plan.left_key])
-    rkey_part = rschema.projector([plan.right_key])
+    lkeys = join_keys(plan.left_key, lschema)
+    rkeys = join_keys(plan.right_key, rschema)
 
     def run():
         budget = ctx.work_mem_tuples
@@ -460,8 +409,7 @@ def _hashjoin_source(
             if partitioned:
                 overflow.extend(batch)
             else:
-                for row in batch:
-                    table.setdefault(lkey(row), []).append(row)
+                split_groups(lkeys(batch), batch, table)
         right = right_factory()
         if not partitioned:
             while True:
@@ -469,10 +417,7 @@ def _hashjoin_source(
                 if batch is None:
                     return
                 yield from ctx.cpu(len(batch))
-                out: List[tuple] = []
-                for rrow in batch:
-                    for lrow in table.get(rkey(rrow), ()):
-                        out.append(lrow + rrow)
+                out = probe(table, rkeys(batch), batch)
                 if out:
                     yield (_BATCH, out)
         # Grace path: spill both sides, join partition pairs in memory.
@@ -481,25 +426,22 @@ def _hashjoin_source(
         nparts = max(
             2, -(-len(all_rows) // max(1, ctx.work_mem_tuples // 2))
         )
-        lparts = yield from _partition(ctx, all_rows, lkey_part, nparts, "hjL")
+        lparts = yield from ctx.spill_partitions(
+            all_rows, lkeys, nparts, "hjL"
+        )
         rrows: List[tuple] = []
         while True:
             batch = yield from pull_batch(right)
             if batch is None:
                 break
             rrows.extend(batch)
-        rparts = yield from _partition(ctx, rrows, rkey_part, nparts, "hjR")
+        rparts = yield from ctx.spill_partitions(rrows, rkeys, nparts, "hjR")
         for p in range(nparts):
-            lrows = yield from _read_part(ctx, lparts[p])
-            prows = yield from _read_part(ctx, rparts[p])
+            lrows = yield from ctx.read_temp(lparts[p])
+            prows = yield from ctx.read_temp(rparts[p])
             yield from ctx.cpu(len(lrows) + len(prows))
-            ptable: Dict[Any, List[tuple]] = {}
-            for row in lrows:
-                ptable.setdefault(lkey(row), []).append(row)
-            pending: List[tuple] = []
-            for rrow in prows:
-                for lrow in ptable.get(rkey(rrow), ()):
-                    pending.append(lrow + rrow)
+            ptable = split_groups(lkeys(lrows), lrows)
+            pending = probe(ptable, rkeys(prows), prows)
             for i in range(0, len(pending), 1024):
                 yield (_BATCH, pending[i : i + 1024])
         for part in lparts + rparts:
@@ -516,7 +458,7 @@ def _mergejoin_source(
 
     def run():
         gens = {"l": left_factory(), "r": right_factory()}
-        bufs: Dict[str, List[tuple]] = {"l": [], "r": []}
+        bufs: Dict[str, deque] = {"l": deque(), "r": deque()}
         ends = {"l": False, "r": False}
 
         def fill(side):
@@ -533,7 +475,7 @@ def _mergejoin_source(
             group: List[tuple] = []
             while True:
                 while buf and key(buf[0]) == value:
-                    group.append(buf.pop(0))
+                    group.append(buf.popleft())
                 if buf or ends[side]:
                     return group
                 yield from fill(side)
@@ -549,9 +491,9 @@ def _mergejoin_source(
             lk = lkey(lbuf[0])
             rk = rkey(rbuf[0])
             if lk < rk:
-                lbuf.pop(0)
+                lbuf.popleft()
             elif rk < lk:
-                rbuf.pop(0)
+                rbuf.popleft()
             else:
                 lgroup = yield from take_group("l", lkey, lk)
                 rgroup = yield from take_group("r", rkey, rk)
@@ -569,9 +511,7 @@ def _mergejoin_source(
 def _nljoin_source(
     ctx, plan: NLJoin, left_factory, right_factory, out_schema, right_width
 ) -> Callable:
-    pred = fusion.gen_row_fn(plan.predicate, out_schema)
-    if pred is None:
-        pred = plan.predicate.bind(out_schema)
+    keep = filter_kernel(plan.predicate, out_schema)
 
     def run():
         right = right_factory()
@@ -596,84 +536,20 @@ def _nljoin_source(
                 page = yield from ctx.sm.read_temp_page(mat, block)
                 prows = page.rows()
                 yield from ctx.cpu(len(batch) * len(prows))
-                for lrow in batch:
-                    for rrow in prows:
-                        joined = lrow + rrow
-                        if pred(joined):
-                            out.append(joined)
+                out.extend(
+                    keep([lrow + rrow for lrow in batch for rrow in prows])
+                )
             if out:
                 yield (_BATCH, out)
 
     return run
 
 
-def _bind_agg_fns(aggs, schema):
-    """bind_aggregates, with plain column references specialised to
-    ``operator.itemgetter`` (same value, C-speed under ``map``) and
-    richer expressions to one generated closure (same operators applied
-    in the same order as the bound tree, so identical values)."""
-    specs, fns = bind_aggregates(aggs, schema)
-    fast = []
-    for spec, fn in zip(specs, fns):
-        if type(spec.expr) is Col:
-            fast.append(itemgetter(schema.index_of(spec.expr.name)))
-            continue
-        gen = (
-            fusion.gen_row_fn(spec.expr, schema)
-            if spec.expr is not None
-            else None
-        )
-        fast.append(gen if gen is not None else fn)
-    return specs, fast
-
-
-def _batch_updaters(specs, fns):
-    """One ``update(state, batch)`` closure per aggregate, equal bit for
-    bit to the per-row ``AggState.add`` loop the iterator runs.
-
-    The float-sensitive case is sum/avg: ``sum(it, start)`` performs the
-    exact left fold ``for v in it: start += v`` performs, so running
-    totals round identically; count is integer arithmetic and min/max
-    are exact comparisons (``min``/``max`` keep the first extremum, like
-    the per-row compare).  Only the dispatch moves from per-row Python
-    to per-batch C.
-    """
-    updaters = []
-    for spec, fn in zip(specs, fns):
-        func = spec.func
-        if func == "count":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-        elif func in ("sum", "avg"):
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                state.total = sum(map(fn, batch), state.total)
-        elif func == "min":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                low = min(map(fn, batch))
-                if state.best is None or low < state.best:
-                    state.best = low
-        elif func == "max":
-            def update(state, batch, fn=fn):
-                state.count += len(batch)
-                high = max(map(fn, batch))
-                if state.best is None or high > state.best:
-                    state.best = high
-        else:  # unknown func: fall back to the reference per-row path
-            def update(state, batch, fn=fn):
-                for row in batch:
-                    state.add(fn(row))
-        updaters.append(update)
-    return updaters
-
-
 def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callable:
-    specs, fns = _bind_agg_fns(plan.aggs, in_schema)
-    updaters = _batch_updaters(specs, fns)
+    kernel = AggKernel(plan.aggs, in_schema)
 
     def run():
-        states = [spec.make_state() for spec in specs]
+        states = kernel.new_states()
         child = child_factory()
         consumed = 0
         batches = 0
@@ -682,9 +558,7 @@ def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callabl
             if batch is None:
                 break
             yield from ctx.cpu(len(batch) * len(states))
-            if batch:
-                for state, update in zip(states, updaters):
-                    update(state, batch)
+            kernel.update(states, batch)
             consumed += len(batch)
             batches += 1
             if ctx.lineage is not None and batches % 8 == 0:
@@ -692,18 +566,13 @@ def _aggregate_source(ctx, plan: Aggregate, child_factory, in_schema) -> Callabl
                     consumed,
                     [(s.count, s.total, s.best) for s in states],
                 )
-        yield (_BATCH, [tuple(state.result() for state in states)])
+        yield (_BATCH, [kernel.result(states)])
 
     return run
 
 
 def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
-    specs, fns = _bind_agg_fns(plan.aggs, in_schema)
-    updaters = _batch_updaters(specs, fns)
-    # Group keys reach the output rows, so they stay tuples -- but they
-    # are computed per batch in one generated comprehension instead of
-    # one projector call per row.
-    group_batch = fusion.gen_scan_batch(None, plan.group_cols, in_schema)
+    kernel = AggKernel(plan.aggs, in_schema, plan.group_cols)
 
     def run():
         groups: Dict[tuple, list] = {}
@@ -712,29 +581,9 @@ def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
             batch = yield from pull_batch(child)
             if batch is None:
                 break
-            yield from ctx.cpu(len(batch) * max(1, len(specs)))
-            # Split the batch by group key (rows keep encounter order,
-            # so each state sees the same value sequence as the
-            # iterator's per-row loop), then update per group at batch
-            # granularity.
-            grouped: Dict[tuple, list] = {}
-            for key, row in zip(group_batch(batch), batch):
-                rows = grouped.get(key)
-                if rows is None:
-                    grouped[key] = [row]
-                else:
-                    rows.append(row)
-            for key, rows in grouped.items():
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.make_state() for spec in specs]
-                    groups[key] = states
-                for state, update in zip(states, updaters):
-                    update(state, rows)
-        result = [
-            key + tuple(state.result() for state in states)
-            for key, states in sorted(groups.items())
-        ]
+            yield from ctx.cpu(len(batch) * max(1, len(kernel.specs)))
+            kernel.update_groups(groups, batch)
+        result = kernel.group_results(groups)
         for i in range(0, len(result), 1024):
             yield (_BATCH, result[i : i + 1024])
 
@@ -796,7 +645,7 @@ def _update_source(ctx, plan: UpdateRows) -> Callable:
         owner = ctx.owner or _next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        pred = row_fn(plan.predicate, schema) if plan.predicate else None
         yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         changed = 0
         try:
@@ -821,7 +670,7 @@ def _delete_source(ctx, plan: DeleteRows) -> Callable:
         owner = ctx.owner or _next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
-        pred = plan.predicate.bind(schema) if plan.predicate else None
+        pred = row_fn(plan.predicate, schema) if plan.predicate else None
         yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
         removed = 0
         try:

@@ -1,11 +1,9 @@
 """Streaming operator chains compiled to push-based stage closures.
 
-PR 4 taught expressions to :meth:`~repro.relational.expressions.Expr.bind`
-into per-row closures; this module extends that compilation to whole
-operator chains.  A run of streaming operators between two pipeline
-breakers -- filter -> project -> limit -> distinct, plus the probe side
-of semi/anti/outer joins -- becomes a list of *stages*.  Each stage is a
-pair of pure functions over a row batch:
+A run of streaming operators between two pipeline breakers -- filter ->
+project -> limit -> distinct, plus the probe side of semi/anti/outer
+joins -- becomes a list of *stages*.  Each stage is a pair of pure
+functions over a row batch:
 
 * ``cost(batch)``  -- the tuple count the iterator reference charges the
   simulated CPU for the same batch (0 where the reference charges
@@ -17,9 +15,9 @@ so the simulated schedule is *independent* of how ``apply`` is built.
 That independence is what lets the planner's cost rule pick between two
 compilation modes per pipeline without ever perturbing a figure:
 
-* **fused** (``fuse=True``): predicates and projections bind once into
-  specialised row closures (inlined column indices, captured constants)
-  and run via list comprehensions -- the hot path.
+* **fused** (``fuse=True``): predicates and projections run as the
+  shared whole-batch kernels of :mod:`repro.relational.kernels` -- the
+  hot path, and the same code every other engine runs.
 * **interpreted** (``fuse=False``): the reference semantics, walking the
   expression tree per row with no pre-binding -- cheaper to set up, and
   what the property tests compare the fused mode against row for row
@@ -45,6 +43,13 @@ from repro.relational.expressions import (
     Like,
     Not,
     Or,
+)
+# ``_code_cache`` is re-exported: clearing ``fusion._code_cache`` must
+# empty the one generated-code memo every engine shares.
+from repro.relational.kernels import (  # noqa: F401
+    _code_cache,
+    filter_kernel,
+    project_kernel,
 )
 from repro.relational.plans import Distinct, Filter, Limit, PlanNode, Project
 from repro.relational.schema import Column, Schema
@@ -119,184 +124,6 @@ def eval_expr(expr: Expr, row: tuple, schema: Schema) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Source-level fusion: expression trees compiled to flat Python code
-# ---------------------------------------------------------------------------
-# ``Expr.bind`` produces one closure per tree node, so evaluating the
-# q6 predicate costs ~5 Python frames per row.  The generators below
-# instead render the tree as a single Python expression string (column
-# refs become ``row[i]`` tuple indexing, constants become literals) and
-# ``eval`` it into ONE closure -- or, better, straight into a whole-batch
-# list comprehension, so a scan filters a page in a single frame.
-#
-# Value-for-value parity with ``bind`` is load-bearing (the property
-# tests compare row for row): comparisons/arith map to the same Python
-# operators ``_CMP_OPS``/``_ARITH_OPS`` name; ``and``/``or`` chains get a
-# ``bool()`` wrapper only in *value* position (bind always returns bool
-# there) and run bare in ``if`` position, where only truthiness matters;
-# Between/Like/If mirror their bind closures shape for shape.  Constants
-# that have no exact literal spelling (NaN, infinities, rich objects,
-# IN-list sets) are passed by reference through the eval namespace
-# instead of being spelled inline.
-
-
-class _Unsupported(Exception):
-    """Raised when a tree has no flat-source rendering; callers fall
-    back to the bound-closure path."""
-
-
-def _const_src(value: Any, env: dict) -> str:
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return _env_src(value, env)
-        return repr(value)
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    return _env_src(value, env)
-
-
-def _env_src(value: Any, env: dict) -> str:
-    name = f"_c{len(env)}"
-    env[name] = value
-    return name
-
-
-def _expr_src(expr: Expr, schema: Schema, env: dict, cond: bool) -> str:
-    """Render *expr* as a Python expression over the free variable
-    ``row``.  ``cond`` marks boolean (``if``) position, where bind's
-    ``bool()`` normalisation of and/or chains can be elided."""
-    if isinstance(expr, Col):
-        return f"row[{schema.index_of(expr.name)}]"
-    if isinstance(expr, Const):
-        return _const_src(expr.value, env)
-    if isinstance(expr, Cmp):
-        left = _expr_src(expr.left, schema, env, False)
-        right = _expr_src(expr.right, schema, env, False)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, Arith):
-        left = _expr_src(expr.left, schema, env, False)
-        right = _expr_src(expr.right, schema, env, False)
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, (And, Or)):
-        joiner = " and " if isinstance(expr, And) else " or "
-        inner = joiner.join(
-            _expr_src(t, schema, env, cond) for t in expr.terms
-        )
-        if cond and len(expr.terms) > 1:
-            return f"({inner})"
-        return f"bool({inner})"
-    if isinstance(expr, Not):
-        return f"(not {_expr_src(expr.term, schema, env, True)})"
-    if isinstance(expr, Between):
-        lo = _const_src(expr.lo, env)
-        hi = _const_src(expr.hi, env)
-        mid = _expr_src(expr.expr, schema, env, False)
-        return f"({lo} <= {mid} <= {hi})"
-    if isinstance(expr, InList):
-        value = _expr_src(expr.expr, schema, env, False)
-        return f"({value} in {_env_src(expr.values, env)})"
-    if isinstance(expr, Like):
-        value = _expr_src(expr.expr, schema, env, False)
-        pattern = expr.pattern
-        if (
-            pattern.startswith("%")
-            and pattern.endswith("%")
-            and len(pattern) > 1
-        ):
-            return f"({pattern[1:-1]!r} in {value})"
-        if pattern.endswith("%"):
-            return f"{value}.startswith({pattern[:-1]!r})"
-        if pattern.startswith("%"):
-            return f"{value}.endswith({pattern[1:]!r})"
-        return f"({value} == {pattern!r})"
-    if isinstance(expr, If):
-        then = _expr_src(expr.then, schema, env, False)
-        test = _expr_src(expr.cond, schema, env, True)
-        other = _expr_src(expr.otherwise, schema, env, False)
-        return f"({then} if {test} else {other})"
-    raise _Unsupported(type(expr).__name__)
-
-
-def _tuple_src(parts: Sequence[str]) -> str:
-    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-
-
-#: Source -> code object.  ``compile`` dominates specialisation cost
-#: (~2ms a call) and the same few sources recur on every cell of a
-#: figure grid, so code objects are cached process-wide; each ``eval``
-#: still binds a fresh ``env``, so per-plan constants stay per-closure.
-_code_cache: dict = {}
-
-
-def _evaluate(src: str, env: dict):
-    code = _code_cache.get(src)
-    if code is None:
-        # Designated impurity: a deterministic memo -- the cached code
-        # object is a pure function of `src`, so cell results cannot
-        # depend on whether the cache was warm.
-        code = _code_cache[src] = compile(src, "<fused>", "eval")  # simlint: disable=IPR201
-    return eval(code, env)
-
-
-def gen_row_fn(expr: Expr, schema: Schema):
-    """``row -> value`` as a single generated closure, or None."""
-    env: dict = {}
-    try:
-        src = _expr_src(expr, schema, env, False)
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda row: {src}", env)
-
-
-def gen_filter(predicate: Expr, schema: Schema):
-    """``batch -> surviving rows`` as one comprehension, or None."""
-    env: dict = {}
-    try:
-        src = _expr_src(predicate, schema, env, True)
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda rows: [row for row in rows if {src}]", env)
-
-
-def gen_project_batch(exprs: Sequence[Expr], schema: Schema):
-    """``batch -> [tuple(e(row)...)]`` as one comprehension, or None."""
-    env: dict = {}
-    try:
-        parts = [_expr_src(e, schema, env, False) for e in exprs]
-    except _Unsupported:
-        return None
-    return _evaluate(f"lambda rows: [{_tuple_src(parts)} for row in rows]", env)
-
-
-def gen_scan_batch(
-    predicate: Optional[Expr],
-    project: Optional[Sequence[str]],
-    schema: Schema,
-):
-    """Fused scan post-processing: filter + column projection in one
-    comprehension (``rows -> [projected for row in rows if pred]``).
-    Returns None when there is nothing to fuse or the predicate has no
-    flat rendering."""
-    env: dict = {}
-    if predicate is not None:
-        try:
-            test = _expr_src(predicate, schema, env, True)
-        except _Unsupported:
-            return None
-    else:
-        test = None
-    if project is not None:
-        out = _tuple_src(
-            [f"row[{schema.index_of(n)}]" for n in project]
-        )
-    elif test is None:
-        return None
-    else:
-        out = "row"
-    suffix = f" if {test}]" if test is not None else "]"
-    return _evaluate(f"lambda rows: [{out} for row in rows{suffix}", env)
-
-
-# ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 class Stage:
@@ -322,28 +149,24 @@ class Stage:
 class FilterStage(Stage):
     """Row selection; charges one tuple per input row (FilterOp)."""
 
-    __slots__ = ("pred", "batch_fn")
+    __slots__ = ("batch_fn",)
 
     def __init__(self, predicate: Expr, schema: Schema, fuse: bool):
-        self.batch_fn = gen_filter(predicate, schema) if fuse else None
-        if self.batch_fn is not None:
-            self.pred = None
-        elif fuse:
-            self.pred = predicate.bind(schema)
+        if fuse:
+            self.batch_fn = filter_kernel(predicate, schema)
         else:
-            self.pred = lambda row: eval_expr(predicate, row, schema)
+            self.batch_fn = lambda rows: [
+                row for row in rows if eval_expr(predicate, row, schema)
+            ]
 
     def apply(self, batch):
-        if self.batch_fn is not None:
-            return self.batch_fn(batch)
-        pred = self.pred
-        return [row for row in batch if pred(row)]
+        return self.batch_fn(batch)
 
 
 class ProjectStage(Stage):
     """Column selection / computed expressions (ProjectOp)."""
 
-    __slots__ = ("fn", "batch_fn")
+    __slots__ = ("batch_fn",)
 
     def __init__(
         self,
@@ -352,30 +175,20 @@ class ProjectStage(Stage):
         schema: Schema,
         fuse: bool,
     ):
-        self.fn = None
-        self.batch_fn = None
-        if exprs is None:
-            if fuse:
-                self.batch_fn = gen_scan_batch(None, names, schema)
-            else:
-                self.fn = lambda row: tuple(
-                    row[schema.index_of(n)] for n in names
-                )
-        elif fuse:
-            self.batch_fn = gen_project_batch(exprs, schema)
-            if self.batch_fn is None:
-                fns = tuple(e.bind(schema) for e in exprs)
-                self.fn = lambda row: tuple(fn(row) for fn in fns)
+        if fuse:
+            self.batch_fn = project_kernel(names, exprs, schema)
+        elif exprs is None:
+            self.batch_fn = lambda rows: [
+                tuple(row[schema.index_of(n)] for n in names) for row in rows
+            ]
         else:
-            self.fn = lambda row: tuple(
-                eval_expr(e, row, schema) for e in exprs
-            )
+            self.batch_fn = lambda rows: [
+                tuple(eval_expr(e, row, schema) for e in exprs)
+                for row in rows
+            ]
 
     def apply(self, batch):
-        if self.batch_fn is not None:
-            return self.batch_fn(batch)
-        fn = self.fn
-        return [fn(row) for row in batch]
+        return self.batch_fn(batch)
 
 
 class LimitStage(Stage):

@@ -7,9 +7,9 @@ full engine would work but double-charges scans; instead this module
 applies each suffix operator directly, using the *same arithmetic* as
 the reference operators in :mod:`repro.baseline.operators`:
 
-* aggregates accumulate through the same ``AggState`` objects in input
-  order (float accumulation is order-sensitive -- this is where byte
-  identity is won or lost);
+* aggregates accumulate through the same batch kernels
+  (:mod:`repro.relational.kernels`) in input order (float accumulation
+  is order-sensitive -- this is where byte identity is won or lost);
 * GroupBy emits ``sorted(groups.items())``;
 * hash joins build left-to-right with ``setdefault`` and emit in probe
   order (``lrow + rrow``), matching the in-memory join path;
@@ -28,7 +28,14 @@ import math
 from typing import Dict, Generator, List, Sequence
 
 from repro.baseline.operators import ExecContext
-from repro.relational.expressions import bind_aggregates
+from repro.relational.kernels import (
+    AggKernel,
+    filter_kernel,
+    join_keys,
+    probe,
+    project_kernel,
+    split_groups,
+)
 from repro.relational.plans import (
     Aggregate,
     Distinct,
@@ -50,22 +57,11 @@ def group_rows(
     ctx: ExecContext,
 ) -> Generator:
     """Coroutine: the reference GroupBy over an in-memory row stream."""
-    specs, fns = bind_aggregates(plan.aggs, schema)
-    group = schema.projector(plan.group_cols)
-    yield from ctx.cpu(len(rows) * max(1, len(specs)))
+    kernel = AggKernel(plan.aggs, schema, plan.group_cols)
+    yield from ctx.cpu(len(rows) * max(1, len(kernel.specs)))
     groups: Dict[tuple, list] = {}
-    for row in rows:
-        key = group(row)
-        states = groups.get(key)
-        if states is None:
-            states = [spec.make_state() for spec in specs]
-            groups[key] = states
-        for state, fn in zip(states, fns):
-            state.add(fn(row))
-    return [
-        key + tuple(state.result() for state in states)
-        for key, states in sorted(groups.items())
-    ]
+    kernel.update_groups(groups, rows)
+    return kernel.group_results(groups)
 
 
 def hash_join_rows(
@@ -82,18 +78,10 @@ def hash_join_rows(
     callers must assemble both in global (shard-order) sequence for the
     output to match the single-host join byte for byte.
     """
-    lkey = lschema.projector([plan.left_key])
-    rkey = rschema.projector([plan.right_key])
     yield from ctx.cpu(len(lrows))
-    table: Dict[tuple, List[tuple]] = {}
-    for row in lrows:
-        table.setdefault(lkey(row), []).append(row)
+    table = split_groups(join_keys(plan.left_key, lschema)(lrows), lrows)
     yield from ctx.cpu(len(rrows))
-    out: List[tuple] = []
-    for rrow in rrows:
-        for lrow in table.get(rkey(rrow), ()):
-            out.append(lrow + rrow)
-    return out
+    return probe(table, join_keys(plan.right_key, rschema)(rrows), rrows)
 
 
 def _apply_one(
@@ -102,16 +90,10 @@ def _apply_one(
     schema = op.children[0].output_schema(catalog)
     if isinstance(op, Filter):
         yield from ctx.cpu(len(rows))
-        pred = op.predicate.bind(schema)
-        return [row for row in rows if pred(row)]
+        return filter_kernel(op.predicate, schema)(rows)
     if isinstance(op, Project):
         yield from ctx.cpu(len(rows))
-        if op.exprs is None:
-            fn = schema.projector(op.names)
-        else:
-            bound = [e.bind(schema) for e in op.exprs]
-            fn = lambda row: tuple(f(row) for f in bound)  # noqa: E731
-        return [fn(row) for row in rows]
+        return project_kernel(op.names, op.exprs, schema)(rows)
     if isinstance(op, Sort):
         n = len(rows)
         comparisons = n * max(1.0, math.log2(max(2, n)))
@@ -122,13 +104,11 @@ def _apply_one(
         out.sort(key=schema.projector(op.keys), reverse=op.descending)
         return out
     if isinstance(op, Aggregate):
-        specs, fns = bind_aggregates(op.aggs, schema)
-        states = [spec.make_state() for spec in specs]
+        kernel = AggKernel(op.aggs, schema)
+        states = kernel.new_states()
         yield from ctx.cpu(len(rows) * len(states))
-        for row in rows:
-            for state, fn in zip(states, fns):
-                state.add(fn(row))
-        return [tuple(state.result() for state in states)]
+        kernel.update(states, rows)
+        return [kernel.result(states)]
     if isinstance(op, GroupBy):
         out = yield from group_rows(op, rows, schema, ctx)
         return out

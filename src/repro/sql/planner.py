@@ -32,6 +32,7 @@ from repro.relational.expressions import (
     Not,
     Or,
 )
+from repro.relational.kernels import row_fn
 from repro.relational.plans import (
     Aggregate,
     AntiJoin,
@@ -631,12 +632,14 @@ def _plan_dml(stmt, catalog) -> PlanNode:
     for column, expr in stmt.assignments:
         if column not in schema:
             raise SqlError(f"no column {column!r} in {stmt.table!r}")
-        assignments.append((schema.index_of(column), translator.expr(expr)))
+        assignments.append(
+            (schema.index_of(column), row_fn(translator.expr(expr), schema))
+        )
 
     def apply(row: tuple) -> tuple:
         out = list(row)
-        for idx, bound_expr in assignments:
-            out[idx] = bound_expr.bind(schema)(row)
+        for idx, fn in assignments:
+            out[idx] = fn(row)
         return tuple(out)
 
     return UpdateRows(stmt.table, predicate, apply)
