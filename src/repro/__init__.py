@@ -25,7 +25,6 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproductions (driven by :mod:`repro.harness`).
 """
 
-from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.relational import (
@@ -52,6 +51,7 @@ from repro.relational import (
     TableScan,
     UpdateRows,
 )
+from repro.pushexec import PushEngine
 from repro.results import QueryResult
 from repro.storage.manager import StorageManager
 
@@ -72,12 +72,12 @@ __all__ = [
     "HostConfig",
     "IndexScan",
     "InsertRows",
-    "IteratorEngine",
     "LeftOuterJoin",
     "Limit",
     "MergeJoin",
     "NLJoin",
     "Project",
+    "PushEngine",
     "QPipeConfig",
     "QPipeEngine",
     "QueryResult",

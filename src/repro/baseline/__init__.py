@@ -1,21 +1,16 @@
-"""The conventional "one-query, many-operators" engine (the comparators).
+"""The conventional "one-query, many-operators" personas (the comparators).
 
-This package implements the query-centric architecture of Figure 5a: each
-query executes as a single process pulling tuples through a Volcano-style
-iterator tree [Graefe 94].  Queries know nothing about each other; the
-only cross-query sharing is whatever the buffer pool provides.
-
-Two configurations reproduce the paper's comparison systems:
+The paper compares QPipe against the query-centric architecture of
+Figure 5a: each query executes as a single process, queries know nothing
+about each other, and the only cross-query sharing is whatever the
+buffer pool provides.  That behaviour comes from the storage-manager
+settings, not from the operator loop, so both personas run on existing
+engines (see :func:`repro.harness.config.make_engine`):
 
 * **Baseline** -- the paper's "BerkeleyDB-based QPipe implementation with
-  OSP disabled" shares the storage manager and its LRU pool.  (We model it
-  with the iterator engine over an LRU pool; the QPipe engine with
-  ``osp_enabled=False`` behaves equivalently and is also available.)
-* **DBMS X** -- the anonymous commercial system, modelled as the iterator
-  engine over a stronger, scan-resistant pool (ARC).
+  OSP disabled": the QPipe engine with ``osp_enabled=False`` over an LRU
+  pool.
+* **DBMS X** -- the anonymous commercial system: one push pipeline per
+  query (:class:`~repro.pushexec.PushEngine`, named ``"dbms-x"``) over a
+  stronger, scan-resistant pool (ARC) with a shared scan window.
 """
-
-from repro.baseline.engine import IteratorEngine, QueryResult
-from repro.baseline.operators import ExecContext, build_operator
-
-__all__ = ["ExecContext", "IteratorEngine", "QueryResult", "build_operator"]

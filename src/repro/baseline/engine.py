@@ -1,84 +1,5 @@
-"""The query-centric iterator engine (Figure 5a).
+"""The former name of the query-centric engine, kept for importers."""
 
-One simulated process per query pulls batches through the operator tree
-and collects them.  No cross-query coordination exists above the buffer
-pool -- this is precisely the sharing limitation the paper attacks.
-"""
+from repro.pushexec import PushEngine
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
-
-from repro.baseline.operators import ExecContext, build_operator
-from repro.results import QueryResult
-from repro.hw.host import Host
-from repro.relational.plans import PlanNode
-from repro.storage.manager import StorageManager
-
-
-@dataclass
-class IteratorEngine:
-    """Conventional engine over a shared storage manager.
-
-    Args:
-        sm: the storage manager (shared across queries; its buffer pool is
-            the only sharing mechanism).
-        work_mem_tuples: per-query memory budget.
-        name: label ("baseline" or "dbms-x") for reports.
-    """
-
-    sm: StorageManager
-    work_mem_tuples: int = 50_000
-    name: str = "iterator"
-    _next_query_id: int = field(default=0, repr=False)
-
-    @property
-    def host(self) -> Host:
-        return self.sm.host
-
-    @property
-    def sim(self):
-        return self.sm.sim
-
-    def execute(
-        self,
-        plan: PlanNode,
-        query_id: Optional[int] = None,
-        lineage=None,
-    ) -> Generator:
-        """Coroutine: run *plan* to completion; returns a QueryResult."""
-        if query_id is None:
-            self._next_query_id += 1
-            query_id = self._next_query_id
-        submitted = self.sim.now
-        ctx = ExecContext(
-            sm=self.sm,
-            host=self.host,
-            work_mem_tuples=self.work_mem_tuples,
-            owner=("q", self.name, query_id),
-            lineage=lineage,
-        )
-        root = build_operator(plan, ctx)
-        started = self.sim.now
-        rows: List[tuple] = []
-        while True:
-            batch = yield from root.next_batch()
-            if batch is None:
-                break
-            rows.extend(batch)
-            if lineage is not None:
-                yield from lineage.on_root_batch(batch)
-        return QueryResult(
-            query_id=query_id,
-            rows=rows,
-            submitted_at=submitted,
-            started_at=started,
-            finished_at=self.sim.now,
-        )
-
-    def run_query(self, plan: PlanNode) -> List[tuple]:
-        """Convenience: spawn, run the clock, return the rows (tests)."""
-        proc = self.sim.spawn(self.execute(plan), name="query")
-        self.sim.run()
-        return proc.value.rows
+IteratorEngine = PushEngine

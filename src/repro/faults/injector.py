@@ -185,7 +185,7 @@ class FaultInjector:
         )
 
     def _crash_scanner(self, fault: ProcessFault) -> None:
-        # Engines without micro-engines (IteratorEngine, PushEngine) have
+        # Engines without micro-engines (PushEngine) have
         # no shared scanner threads to crash.
         engines = getattr(self.engine, "engines", None)
         fscan = engines.get("fscan") if engines is not None else None

@@ -11,8 +11,9 @@ Three systems (section 5's legend):
 * ``qpipe``   -- QPipe w/OSP over an LRU pool.
 * ``baseline`` -- the same engine with OSP disabled ("the BerkeleyDB-based
   QPipe implementation with OSP disabled").
-* ``dbmsx``   -- the conventional iterator engine over an ARC pool (the
-  commercial system whose "buffer pool manager achieves better sharing").
+* ``dbmsx``   -- the query-centric push engine, one process per query,
+  over an ARC pool (the commercial system whose "buffer pool manager
+  achieves better sharing").
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
-from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.pushexec import PushEngine
 from repro.hw.host import Host, HostConfig
@@ -304,27 +304,25 @@ def make_engine(
 ):
     """The engine object for a system name (see module docstring).
 
-    ``backend`` selects the execution machinery: ``"packets"`` is the
-    historical mapping (QPipe micro-engines for qpipe/baseline, the
-    iterator engine for dbms-x); ``"pushed"`` runs the persona on the
-    push-based fused backend instead, keeping the persona's name so
-    reports and lock owners read the same.  The harness only substitutes
-    the push backend where the figure's payload is engine-invariant
-    (see ``repro.harness.experiments.substitute_engine``).
+    dbms-x always runs on the push engine.  ``backend`` selects the
+    machinery for qpipe/baseline: ``"packets"`` is the QPipe
+    micro-engine build; ``"pushed"`` runs the persona on the push-based
+    fused backend instead, keeping the persona's name so reports and
+    lock owners read the same.  The harness only substitutes the push
+    backend where the figure's payload is engine-invariant (see
+    ``repro.harness.experiments.substitute_engine``).
     """
-    if backend == "pushed":
-        return PushEngine(
-            sm,
-            work_mem_tuples=scale.work_mem_tuples,
-            name="dbms-x" if system == "dbmsx" else system,
-        )
-    if backend != "packets":
+    if backend not in ("packets", "pushed"):
         raise ValueError(f"unknown backend {backend!r}; want packets|pushed")
     if system == "dbmsx":
-        return IteratorEngine(
+        return PushEngine(
             sm, work_mem_tuples=scale.work_mem_tuples, name="dbms-x"
         )
     if system in ("qpipe", "baseline"):
+        if backend == "pushed":
+            return PushEngine(
+                sm, work_mem_tuples=scale.work_mem_tuples, name=system
+            )
         return QPipeEngine(
             sm,
             QPipeConfig(

@@ -113,9 +113,7 @@ def fig1a_cell(spec: CellSpec) -> Dict[str, float]:
     c = spec.coord
     name = c["query"]
     builder = Q.QUERY_BUILDERS[name.lower()]
-    host, sm, engine = build_tpch_system(
-        spec.scale, "dbmsx", backend=c.get("engine", "packets")
-    )
+    host, sm, engine = build_tpch_system(spec.scale, "dbmsx")
     file_to_table = {sm.table_file_id(t): t for t in sm.catalog.tables()}
     before = host.disk.stats.snapshot()
     host.sim.spawn(engine.execute(builder(random.Random(FIG_QUERY_SEED))))
@@ -987,7 +985,6 @@ def ablation_replay_ring(
 #: to the system builders as ``backend=``).  Specs whose function is not
 #: listed here are never rewritten.
 _ENGINE_AWARE_FNS = frozenset((
-    "repro.harness.experiments:fig1a_cell",
     "repro.harness.experiments:fig8_cell",
     "repro.harness.experiments:fig12_cell",
 ))
@@ -1008,25 +1005,18 @@ def _with_engine(spec: CellSpec, backend: str) -> CellSpec:
 
 def _engine_invariant(spec: CellSpec) -> bool:
     """True when *spec*'s payload provably does not depend on whether the
-    persona runs on the packet/iterator machinery or the push backend.
+    persona runs on the packet machinery or the push backend.
 
-    * fig1a always runs the dbms-x persona: the push backend replays the
-      iterator engine's exact virtual-cost schedule, so every payload --
-      timings included -- is identical.
-    * Any ``system == "dbmsx"`` slot, for the same reason.
-    * fig8's ``system == "baseline"`` slots: with sharing off the payload
-      (total disk blocks read) is decided by the buffer pool alone, which
-      both backends drive with the same page-access sequence.  QPipe
-      w/OSP slots are *not* invariant -- OSP lives in the packet engine.
+    Only fig8's ``system == "baseline"`` slots qualify: with sharing off
+    the payload (total disk blocks read) is decided by the buffer pool
+    alone, which both backends drive with the same page-access sequence.
+    QPipe w/OSP slots are *not* invariant -- OSP lives in the packet
+    engine -- and dbms-x slots already run on the push engine.
     """
-    if spec.fn not in _ENGINE_AWARE_FNS:
-        return False
-    c = spec.coord
-    if spec.fn.endswith(":fig1a_cell"):
-        return True
-    if c.get("system") == "dbmsx":
-        return True
-    return spec.fn.endswith(":fig8_cell") and c.get("system") == "baseline"
+    return (
+        spec.fn == fn_key(fig8_cell)
+        and spec.coord.get("system") == "baseline"
+    )
 
 
 def substitute_engine(
@@ -1590,7 +1580,7 @@ def chaos(
 
     def build_system():
         if engine_backend == "pushed":
-            return build_tpch_system(scale, "dbmsx", backend="pushed")
+            return build_tpch_system(scale, "dbmsx")
         return build_tpch_system(scale, "qpipe")
 
     def rows_match(got, want) -> bool:
@@ -1769,8 +1759,8 @@ RECOVERY_SCENARIOS = (
     "agg",           # Aggregate(scan): checkpoint resume
     "torn",          # torn lineage record: truncated frontier, still right
     "log-error",     # log device dies early: degraded frontier, still right
-    "pushed",        # push-based fused engine, scan crash
-    "iterator",      # iterator engine: client disconnect as the fault
+    "pushed",        # push engine (dbms-x build), scan crash
+    "iterator",      # push engine (dbms-x build), client disconnect
 )
 
 
@@ -1793,9 +1783,7 @@ def _recovery_agg_plan() -> Aggregate:
 def _recovery_build(scale: Scale, scenario: str):
     if scenario == "scan-noshare":
         return build_tpch_system(scale, "baseline")
-    if scenario == "pushed":
-        return build_tpch_system(scale, "dbmsx", backend="pushed")
-    if scenario == "iterator":
+    if scenario in ("pushed", "iterator"):
         return build_tpch_system(scale, "dbmsx")
     return build_tpch_system(scale, "qpipe")
 
@@ -1858,9 +1846,8 @@ def recovery_cell(spec: CellSpec) -> Dict[str, Any]:
     tracer = Tracer(host.sim)
     fault_plan = FaultPlan()
     if scenario == "iterator":
-        # The iterator engine has no server-side abort channel; the
-        # fault is a client disconnect, and recovery doubles as the
-        # reconnect path.
+        # The fault is a client disconnect rather than a server-side
+        # crash; recovery doubles as the reconnect path.
         fault_plan.disconnect(at=crash_at, target=0)
     elif pair:
         # Two active queries, sorted by id: target=1 crashes the later

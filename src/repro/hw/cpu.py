@@ -1,6 +1,6 @@
 """A multi-core CPU model charging per-batch processing bursts.
 
-QPipe workers, baseline iterator queries, and client-side glue all charge
+QPipe workers, query-centric push pipelines, and client-side glue all charge
 CPU time in short bursts (one per tuple batch).  Because bursts are short
 relative to disk service times, FIFO queueing of bursts approximates the
 preemptive processor-sharing discipline the paper's OS scheduler provides,

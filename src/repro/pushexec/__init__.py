@@ -1,7 +1,6 @@
 """repro.pushexec -- the push-based fused execution backend.
 
-The third engine, next to the pull-based
-:class:`~repro.baseline.engine.IteratorEngine` and the packet-based
+The query-centric engine, next to the packet-based
 :class:`~repro.engine.qpipe.QPipeEngine`.  Operator chains are compiled
 into fused push pipelines (:mod:`repro.pushexec.fusion`,
 :mod:`repro.pushexec.compiler`) that move whole tuple batches between
@@ -9,12 +8,12 @@ pipeline breakers in a single coroutine frame, instead of pulling every
 batch through a stack of nested ``yield from`` iterators or routing it
 through per-operator packet channels.
 
-The backend's load-bearing property is *virtual-cost equivalence*: a
-compiled pipeline issues the exact storage-manager calls and CPU
-charges, in the exact order, that the iterator reference issues for the
-same plan (see :mod:`repro.pushexec.compiler`).  Every figure value the
-iterator engine produces is therefore reproduced bit-for-bit; only the
-host wall-clock spent simulating it shrinks.
+It runs the DBMS X persona (one process per query, sharing only through
+the buffer pool) and the ``--engine pushed`` substitutions.  Its
+schedule -- the storage-manager calls and CPU charges, in order -- is
+the one the retired Volcano iterator operators issued: the recorded
+table in ``tests/iterator_reference.json`` and the committed figure-cell
+hashes pin it, so every figure value is reproduced bit-for-bit.
 """
 
 from repro.pushexec.engine import PushEngine

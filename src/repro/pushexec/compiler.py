@@ -6,24 +6,24 @@ chain of fused streaming stages (:mod:`repro.pushexec.fusion`).  Each
 pipeline compiles to a single generator that pushes row batches upward
 as ``(_BATCH, rows)`` markers interleaved with simulation events; a
 breaker consumes its child pipeline through :func:`pull_batch`, which
-forwards events both ways.  Where the iterator engine suspends one
-coroutine frame per operator per batch, a compiled pipeline crosses one
+forwards events both ways.  A Volcano iterator tree suspends one
+coroutine frame per operator per batch; a compiled pipeline crosses one
 frame per *breaker* -- the per-operator interface cost (the Channel hop
 in QPipe, the ``yield from`` hop here) is fused away, per Shaikhha et
 al.'s push-based loop fusion.
 
-Equivalence contract (load-bearing -- the byte-identical-figure tests
-enforce it): for every plan, a compiled pipeline issues the **exact
-sequence** of storage-manager calls and CPU charges that the reference
-iterator operators in :mod:`repro.baseline.operators` issue.  Each
-source/breaker below is a transliteration of the corresponding operator
-with the same charge points, the same batch boundaries, the same spill
-thresholds and the same temp-file lifetimes.  The planner's fuse /
-materialize choices (:func:`repro.sql.planner.plan_pipelines`) only ever
-select *how the host computes* a batch, never what the simulation sees;
-runtime guards (actual row counts) make spill decisions, exactly like
-the iterator, so a mis-estimate costs host-side specialisation, never
-correctness.
+The query-centric operator schedule is defined here: the DBMS X
+persona and the push backend both run these pipelines, and the shard
+merges charge through the same :class:`ExecContext`.  Each source and breaker
+below fixes the charge points, the batch boundaries, the spill
+thresholds and the temp-file lifetimes of one operator.  The planner's
+fuse / materialize choices (:func:`repro.sql.planner.plan_pipelines`)
+only ever select *how the host computes* a batch, never what the
+simulation sees; runtime guards (actual row counts) make spill
+decisions, so a mis-estimate costs host-side specialisation, never
+correctness.  The schedule is pinned by ``tests/iterator_reference.json``
+(rows, virtual clock and disk counters recorded from the retired
+Volcano operators) and by the committed figure-cell hashes.
 """
 
 from __future__ import annotations
@@ -31,16 +31,17 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import count
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.baseline.operators import ExecContext, SortOp, _Neg
+from repro.hw.host import Host
 from repro.pushexec import fusion
 from repro.relational.kernels import (
     AggKernel,
     filter_kernel,
     join_keys,
+    partition,
     probe,
     row_fn,
     scan_kernel,
@@ -68,27 +69,86 @@ from repro.relational.plans import (
     UpdateRows,
 )
 from repro.storage.locks import LockMode
+from repro.storage.manager import StorageManager
 from repro.storage.page import RID
+from repro.storage.streams import next_stream
 
-__all__ = ["Pipeline", "compile_plan", "pull_batch"]
+__all__ = ["ExecContext", "Pipeline", "compile_plan", "pull_batch"]
 
 #: Marker tag: pipelines yield ``(_BATCH, rows)`` between simulation
 #: events.  A unique sentinel object, so no sim event can collide.
 _BATCH = object()
 
-#: Circular-scan stream identities.  The iterator reference uses
-#: ``id(self)`` of the live scan op; the pool only ever compares streams
-#: for (in)equality, so any value that is unique per scan execution is
-#: equivalent -- except that a *recycled* ``id()`` can accidentally match
-#: a finished scan's leftover ring entries and turn its misses into
-#: hits.  A process-global counter can never collide with a previous
-#: scan, which is exactly the (observed) behaviour of the reference:
-#: live op objects always have distinct ids.
-_stream_ids = count(1)
+
+@dataclass
+class ExecContext:
+    """Per-query execution context: storage, host, and memory budget."""
+
+    sm: StorageManager
+    host: Host
+    #: Work-memory budget in tuples (sort heaps, hash tables); models the
+    #: paper's "each client is given 128MB of memory".
+    work_mem_tuples: int = 50_000
+    #: Query identity, used as the lock owner for updates.
+    owner: Any = None
+    #: Optional :class:`~repro.lineage.tracker.LineageTracker`; scan
+    #: sources report delivered pages through it (None: no recording).
+    lineage: Any = None
+    #: Live temp files (spill runs, hash partitions) this query created
+    #: and has not yet dropped; the engine's fault teardown sweeps them.
+    temp_files: List[Any] = field(default_factory=list)
+
+    def cpu(self, tuples: int, factor: float = 1.0) -> Generator:
+        """Coroutine: charge CPU for processing *tuples* tuples."""
+        cost = tuples * self.host.config.cpu_per_tuple * factor
+        yield from self.host.cpu.burst(cost)
+
+    def track_temp(self, temp) -> Any:
+        """Register a freshly created temp file for fault-path cleanup."""
+        self.temp_files.append(temp)
+        return temp
+
+    def drop_temp(self, temp) -> None:
+        """Drop a temp file and unregister it (normal-path cleanup)."""
+        if temp in self.temp_files:
+            self.temp_files.remove(temp)
+        self.sm.drop_temp_file(temp)
+
+    def spill_partitions(self, rows, keys, nparts, label) -> Generator:
+        """Coroutine: grace-join fan-out of *rows* into ``nparts``
+        tracked temp files; returns the files."""
+        buckets = partition(keys(rows), rows, nparts)
+        yield from self.cpu(len(rows))
+        parts = []
+        for bucket in buckets:
+            # Born tracked, so a fault mid-write leaves no orphan file.
+            part = self.track_temp(self.sm.create_temp_file(64, label=label))
+            yield from self.sm.write_run(part, bucket)
+            parts.append(part)
+        return parts
+
+    def read_temp(self, temp) -> Generator:
+        """Coroutine: every row of a temp file, in page order."""
+        rows: List[tuple] = []
+        for block in range(temp.num_pages):
+            page = yield from self.sm.read_temp_page(temp, block)
+            rows.extend(page.rows())
+        return rows
 
 
-def _next_stream() -> Tuple[str, int]:
-    return ("pushscan", next(_stream_ids))
+class _Neg:
+    """Ordering inverter for descending sort keys in heap merges."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return other.value < self.value
+
+    def __eq__(self, other):
+        return other.value == self.value
 
 
 def pull_batch(gen) -> Generator:
@@ -96,8 +156,8 @@ def pull_batch(gen) -> Generator:
 
     Forwards every simulation event (and the kernel's replies) between
     *gen* and the caller's scheduler; returns the marker's rows, or
-    ``None`` once *gen* is exhausted.  The push-side counterpart of
-    ``Operator.next_batch``.
+    ``None`` once *gen* is exhausted.  The external sort's run readers
+    and merge use the same marker for single rows.
     """
     try:
         item = next(gen)
@@ -139,10 +199,10 @@ class Pipeline:
 def _drive(ctx, preludes, source_factory, stages):
     """The fused driver loop: one frame for the whole stage chain.
 
-    Per source batch this replays the iterator chain's schedule: each
-    stage's CPU charge, then its transformation, skipping the rest of
-    the chain when a batch empties (the iterator's internal re-pull
-    loops), and stopping the source once a LIMIT is satisfied.
+    Per source batch this charges each stage's CPU, then applies its
+    transformation, skipping the rest of the chain when a batch empties
+    (an operator re-pulling its child), and stopping the source once a
+    LIMIT is satisfied.
     """
     for prelude in preludes:
         yield from prelude()
@@ -168,7 +228,7 @@ def _drive(ctx, preludes, source_factory, stages):
 
 
 # ---------------------------------------------------------------------------
-# Sources: leaves (ScanOp / IndexScanOp transliterations)
+# Sources: leaves (table and index scans)
 # ---------------------------------------------------------------------------
 def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
     base = ctx.sm.catalog.table_schema(plan.table)
@@ -184,10 +244,9 @@ def _scan_source(ctx: ExecContext, plan: TableScan) -> Callable:
         start_page, page_count = plan.resume
 
     def run():
-        # A fresh counter value stands in for the iterator op's
-        # id(self) as the circular-scan stream identity (see
-        # _next_stream on why not id()).
-        stream = _next_stream()
+        # One circular-scan stream identity per execution (see
+        # repro.storage.streams on why not id()).
+        stream = next_stream()
         for i in range(page_count):
             page_no = (start_page + i) % num_pages
             page = yield from ctx.sm.read_table_page(
@@ -217,7 +276,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
     if info.clustered:
 
         def run():
-            stream = _next_stream()
+            stream = next_stream()
             sm = ctx.sm
             page_no = yield from sm.clustered_start_page(
                 plan.table, plan.index, plan.lo
@@ -247,15 +306,14 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
                     rows = fused(rows)
                 if rows:
                     yield (_BATCH, rows)
-                    # The iterator re-reads the page count at each batch
-                    # boundary; match it so concurrent growth behaves
-                    # identically.
+                    # Re-read the page count at each batch boundary, so
+                    # pages appended by a concurrent insert are visited.
                     num_pages = sm.num_pages(plan.table)
 
         return run
 
     def run():
-        stream = _next_stream()
+        stream = next_stream()
         pairs = yield from ctx.sm.index_range(
             plan.table, plan.index, plan.lo, plan.hi
         )
@@ -287,7 +345,7 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Breakers (SortOp / joins / aggregation transliterations)
+# Breakers (sort, joins, aggregation)
 # ---------------------------------------------------------------------------
 def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
     key = schema.projector(plan.keys)
@@ -312,7 +370,7 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
         for block in range(run_file.num_pages):
             page = yield from ctx.sm.read_temp_page(run_file, block)
             for row in page.rows():
-                yield ("row", row)
+                yield (_BATCH, row)
 
     def rank(row, sign):
         k = key(row)
@@ -325,14 +383,14 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
         readers = [run_reader(run_file) for run_file in runs]
         heads: List = []
         for i, reader in enumerate(readers):
-            row = yield from SortOp._advance(reader)
+            row = yield from pull_batch(reader)
             if row is not None:
                 heads.append((rank(row, sign), i, row))
         heapq.heapify(heads)
         while heads:
             _r, i, row = heapq.heappop(heads)
-            yield ("row", row)
-            nxt = yield from SortOp._advance(readers[i])
+            yield (_BATCH, row)
+            nxt = yield from pull_batch(readers[i])
             if nxt is not None:
                 heapq.heappush(heads, (rank(nxt, sign), i, nxt))
 
@@ -351,7 +409,7 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
                 buffer = []
         if not runs:
             # In-memory path: one sort charge, the whole result as a
-            # single charge-free batch (SortOp's _sorted path).
+            # single charge-free batch.
             yield from sort_cost(len(buffer))
             buffer.sort(key=key, reverse=descending)
             if buffer:
@@ -364,7 +422,7 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
         while not done:
             out: List[tuple] = []
             while len(out) < 1024:
-                row = yield from SortOp._advance(merge)
+                row = yield from pull_batch(merge)
                 if row is None:
                     done = True
                     for run_file in runs:
@@ -624,11 +682,11 @@ def _outer_build(ctx, right_factory, rkey, stage: fusion.OuterProbeStage):
 
 
 # ---------------------------------------------------------------------------
-# DML sources (InsertOp / UpdateOp / DeleteOp transliterations)
+# DML sources (insert / update / delete)
 # ---------------------------------------------------------------------------
 def _insert_source(ctx, plan: InsertRows) -> Callable:
     def run():
-        owner = ctx.owner or _next_stream()
+        owner = ctx.owner or next_stream()
         yield ctx.sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         try:
             for row in plan.rows:
@@ -642,7 +700,7 @@ def _insert_source(ctx, plan: InsertRows) -> Callable:
 
 def _update_source(ctx, plan: UpdateRows) -> Callable:
     def run():
-        owner = ctx.owner or _next_stream()
+        owner = ctx.owner or next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
         pred = row_fn(plan.predicate, schema) if plan.predicate else None
@@ -667,7 +725,7 @@ def _update_source(ctx, plan: UpdateRows) -> Callable:
 
 def _delete_source(ctx, plan: DeleteRows) -> Callable:
     def run():
-        owner = ctx.owner or _next_stream()
+        owner = ctx.owner or next_stream()
         table = plan.table
         schema = ctx.sm.catalog.table_schema(table)
         pred = row_fn(plan.predicate, schema) if plan.predicate else None
@@ -777,9 +835,9 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
         rkey = _join_key(right.schema, plan.right_key)
         stage = fusion.SemiProbeStage(lkey, anti=isinstance(plan, AntiJoin))
         build = _semi_build(ctx, right.generator, rkey, stage)
-        # The iterator builds the key set at the *root's* first pull,
-        # before anything below the left input runs: outer preludes
-        # precede inner ones.
+        # The key set is built at the *root's* first pull, before
+        # anything below the left input runs: outer preludes precede
+        # inner ones.
         return Pipeline(
             ctx,
             left.source_factory,

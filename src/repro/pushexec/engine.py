@@ -1,18 +1,12 @@
 """The push-based fused engine.
 
-Drop-in interface-compatible with
-:class:`~repro.baseline.engine.IteratorEngine`: same constructor shape,
-same ``execute`` coroutine contract, same
-:class:`~repro.results.QueryResult`.  Internally it compiles the plan
-into push pipelines (:mod:`repro.pushexec.compiler`) after asking the
+One simulated process per query: ``execute`` compiles the plan into
+push pipelines (:mod:`repro.pushexec.compiler`) after asking the
 planner's cost rule (:func:`repro.sql.planner.plan_pipelines`) how each
-pipeline should be specialised.
-
-Because the compiled pipelines replay the iterator operators' exact
-virtual-cost schedule, this engine is observationally identical to the
-iterator engine inside the simulation -- same disk reads, same CPU
-charges, same virtual timestamps -- while crossing far fewer host
-coroutine frames per batch.
+pipeline should be specialised, then drains the root pipeline into a
+:class:`~repro.results.QueryResult`.  Queries know nothing about each
+other; the only cross-query sharing is whatever the buffer pool
+provides -- the query-centric architecture of the paper's Figure 5a.
 
 Fault handling mirrors the packet engine's contract: running queries are
 registered in ``_active`` (so the fault injector's ``crash_query``
@@ -27,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.baseline.operators import ExecContext
 from repro.faults.errors import QueryAborted
 from repro.hw.host import Host
-from repro.pushexec.compiler import compile_plan, pull_batch
+from repro.pushexec.compiler import ExecContext, compile_plan, pull_batch
 from repro.relational.plans import PlanNode
 from repro.results import QueryResult
 from repro.sim.errors import Interrupted

@@ -5,9 +5,8 @@ project -> limit -> distinct, plus the probe side of semi/anti/outer
 joins -- becomes a list of *stages*.  Each stage is a pair of pure
 functions over a row batch:
 
-* ``cost(batch)``  -- the tuple count the iterator reference charges the
-  simulated CPU for the same batch (0 where the reference charges
-  nothing, e.g. LIMIT), and
+* ``cost(batch)``  -- the tuple count the operator charges the simulated
+  CPU for the batch (0 where it charges nothing, e.g. LIMIT), and
 * ``apply(batch)`` -- the batch transformation itself.
 
 The push driver in :mod:`repro.pushexec.compiler` interleaves the two,
@@ -129,8 +128,7 @@ def eval_expr(expr: Expr, row: tuple, schema: Schema) -> Any:
 class Stage:
     """One streaming operator compiled into the chain.
 
-    ``cost`` mirrors the iterator reference's CPU charge for the same
-    batch; ``apply`` transforms the batch and may return ``[]``.
+    ``cost`` is the operator's CPU charge for the batch; ``apply`` transforms the batch and may return ``[]``.
     ``finished`` turns True only for LIMIT once its quota is emitted,
     telling the driver to stop pulling the source.
     """

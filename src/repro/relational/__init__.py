@@ -1,7 +1,7 @@
 """The relational layer: schemas, expressions, logical plans, signatures.
 
 This layer is engine-agnostic: both the QPipe engine (`repro.engine`) and
-the conventional iterator engine (`repro.baseline`) interpret the same
+the query-centric push engine (`repro.pushexec`) interpret the same
 plan trees, which is what makes the paper's apples-to-apples comparison
 possible.
 """

@@ -1,7 +1,7 @@
 """Batch kernels: the one implementation of per-row work for every engine.
 
-The packet engine's µEngines, the OSP circular scan, the iterator
-operators, the push pipelines, query folding and the shard merges all
+The packet engine's µEngines, the OSP circular scan, the push
+pipelines, query folding and the shard merges all
 filter, project and aggregate row batches.  They differ only in *when*
 they run a batch (DESIGN.md section 12); the batch work itself comes
 from here:

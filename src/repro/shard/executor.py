@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.baseline.operators import ExecContext
+from repro.pushexec.compiler import ExecContext
 from repro.relational.plans import PlanNode
 from repro.results import QueryResult
 from repro.shard.exchange import DEFAULT_BATCH_ROWS, ship

@@ -5,7 +5,7 @@ limit...) off the per-shard fragment; after the gather, someone has to
 apply them to the assembled stream.  Routing the stream back through a
 full engine would work but double-charges scans; instead this module
 applies each suffix operator directly, using the *same arithmetic* as
-the reference operators in :mod:`repro.baseline.operators`:
+the pipeline breakers in :mod:`repro.pushexec.compiler`:
 
 * aggregates accumulate through the same batch kernels
   (:mod:`repro.relational.kernels`) in input order (float accumulation
@@ -13,11 +13,11 @@ the reference operators in :mod:`repro.baseline.operators`:
 * GroupBy emits ``sorted(groups.items())``;
 * hash joins build left-to-right with ``setdefault`` and emit in probe
   order (``lrow + rrow``), matching the in-memory join path;
-* every operator charges the host CPU with the reference operator's
+* every operator charges the host CPU with the compiled breaker's
   tuple counts and factors.
 
 All evaluators are coroutines bound to an
-:class:`~repro.baseline.operators.ExecContext`, so the virtual-time
+:class:`~repro.pushexec.compiler.ExecContext`, so the virtual-time
 cost lands on whichever host runs the merge (the coordinator for
 suffixes, the owning shard for shuffle-stage grouping).
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Generator, List, Sequence
 
-from repro.baseline.operators import ExecContext
+from repro.pushexec.compiler import ExecContext
 from repro.relational.kernels import (
     AggKernel,
     filter_kernel,

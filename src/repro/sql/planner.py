@@ -1074,8 +1074,8 @@ def predicate_selectivity(expr: Optional[Expr]) -> float:
 # repro.storage.partition).
 
 #: Per-join "order-driving" side: which input's row order the join's
-#: output order follows in the reference operators
-#: (repro.baseline.operators).  The partitioned table must live on this
+#: output order follows in the compiled pipelines
+#: (repro.pushexec.compiler).  The partitioned table must live on this
 #: side; the other side must be replicated (every shard joins its slice
 #: of the driver against the complete other relation).
 _JOIN_DRIVER = {

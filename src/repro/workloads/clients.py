@@ -4,7 +4,7 @@ arrivals, and the workload runner both engines plug into.
 Engines are duck-typed: anything with an ``execute(plan)`` coroutine
 returning a :class:`~repro.results.QueryResult` and an ``sm`` attribute
 works -- :class:`~repro.engine.qpipe.QPipeEngine` and
-:class:`~repro.baseline.engine.IteratorEngine` both do.
+:class:`~repro.pushexec.PushEngine` both do.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Correctness tests for the iterator engine's operators.
+"""Correctness tests for the relational operators on the push engine.
 
 Each operator is checked against a naive Python evaluation of the same
 query over the raw rows.
@@ -6,7 +6,7 @@ query over the raw rows.
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
@@ -25,7 +25,7 @@ from repro.relational.plans import (
 
 def run(db, plan):
     host, sm, _r, _s = db
-    engine = IteratorEngine(sm)
+    engine = PushEngine(sm)
     return engine.run_query(plan)
 
 
@@ -102,7 +102,7 @@ def test_sort_descending(db):
 
 def test_sort_external_spills(db):
     host, sm, r_rows, _s = db
-    engine = IteratorEngine(sm, work_mem_tuples=50)  # forces spills
+    engine = PushEngine(sm, work_mem_tuples=50)  # forces spills
     plan = Sort(TableScan("r"), keys=["id"])
     proc = sm.sim.spawn(engine.execute(plan))
     sm.sim.run()
@@ -121,7 +121,7 @@ def test_hash_join(db):
 
 def test_hash_join_partitioned(db):
     host, sm, r_rows, s_rows = db
-    engine = IteratorEngine(sm, work_mem_tuples=40)  # force Grace spill
+    engine = PushEngine(sm, work_mem_tuples=40)  # force Grace spill
     plan = HashJoin(TableScan("r"), TableScan("s"), "id", "rid")
     proc = sm.sim.spawn(engine.execute(plan))
     sm.sim.run()
@@ -274,7 +274,7 @@ def test_composed_tpch_like_plan(db):
 
 def test_engine_reports_response_time(db):
     _h, sm, _r, _s = db
-    engine = IteratorEngine(sm)
+    engine = PushEngine(sm)
     proc = sm.sim.spawn(engine.execute(TableScan("r")))
     sm.sim.run()
     result = proc.value

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import AggSpec, Col
@@ -87,7 +87,7 @@ def test_metrics_windowing_excludes_prior_io():
 
 def test_percentile_response_time():
     host, sm = build_db()
-    engine = IteratorEngine(sm)
+    engine = PushEngine(sm)
     clients = [ClosedLoopClient(i, count_plan, queries=1) for i in range(4)]
     metrics = run_workload(engine, clients)
     assert metrics.percentile_response_time(0.0) <= (
@@ -151,6 +151,6 @@ def test_same_seed_same_workload():
 
 def test_engines_interchangeable_in_driver():
     host, sm = build_db()
-    for engine in (IteratorEngine(sm), QPipeEngine(sm)):
+    for engine in (PushEngine(sm), QPipeEngine(sm)):
         metrics = run_workload(engine, [ClosedLoopClient(0, count_plan)])
         assert metrics.queries_completed == 1

@@ -1,24 +1,24 @@
-"""Property test: all three engines return identical results for random
-plans.
+"""Engine equivalence: random plans and random SQL on every engine.
 
-Hypothesis generates random (but well-formed) logical plans over the
-fixture tables; the QPipe engine, the iterator engine and the push-based
-fused engine must agree on every one of them.  This is the repository's
-strongest end-to-end correctness check: it covers scans, index scans,
-filters, projections, sorts, all three joins, aggregates and group-bys
-in random compositions.
-
-The push engine's contract is stronger than row equality: it must replay
-the iterator engine's *virtual-cost schedule* exactly, so those two legs
-also compare row order, virtual clocks and disk I/O counters.
+The push engine runs the DBMS X persona, so its schedule is pinned
+exactly: for fixed seed lists it must reproduce the rows, the virtual
+clock and the disk counters recorded from the retired Volcano iterator
+engine (``iterator_reference.json``), at the default work_mem and under
+memory pressure.  Hypothesis then generates random (but well-formed)
+logical plans over the fixture tables, and the QPipe engine must return
+the push engine's rows on every one of them.  This covers scans, index
+scans, filters, projections, sorts, all three joins, aggregates and
+group-bys in random compositions.
 """
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baseline.engine import IteratorEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.pushexec import PushEngine
 from repro.hw.host import Host, HostConfig
@@ -38,6 +38,23 @@ from repro.relational.plans import (
 from repro.storage.manager import StorageManager
 
 import tests.conftest as cf
+
+#: Rows sha256, ``sim.now``, blocks read and blocks written per seed, as
+#: the iterator engine produced them before the push engine replaced it.
+ITERATOR_REFERENCE = json.loads(
+    (Path(__file__).parent / "iterator_reference.json").read_text()
+)
+RECORDED_SEEDS = range(64)
+
+
+def observed(host, rows):
+    """One recorded-table entry for a finished run on *host*."""
+    return [
+        hashlib.sha256(repr(rows).encode()).hexdigest(),
+        host.sim.now,
+        host.disk.stats.blocks_read,
+        host.disk.stats.blocks_written,
+    ]
 
 
 def build_db():
@@ -77,27 +94,28 @@ def r_source(rng: random.Random):
     return IndexScan("r", "r_grp", lo=grp, hi=grp + rng.randrange(0, 3))
 
 
-def random_plan(seed: int):
+def random_shaped_plan(seed: int):
+    """``(shape, plan)``: one of six plan shapes over a random source."""
     rng = random.Random(seed)
     base = r_source(rng)
     shape = rng.randrange(6)
     if shape == 0:
-        return Sort(base, keys=["val"], descending=rng.random() < 0.5)
+        return shape, Sort(base, keys=["val"], descending=rng.random() < 0.5)
     if shape == 1:
-        return GroupBy(
+        return shape, GroupBy(
             base,
             ["grp"],
             [AggSpec("count", None, "n"), AggSpec("sum", Col("val"), "sv")],
         )
     if shape == 2:
-        return Aggregate(
+        return shape, Aggregate(
             Filter(base, Col("val") >= rng.uniform(0, 50)),
             [AggSpec("min", Col("id"), "lo"), AggSpec("max", Col("id"), "hi"),
              AggSpec("count", None, "n")],
         )
     if shape == 3:
         join = HashJoin(base, TableScan("s"), "id", "rid")
-        return GroupBy(join, ["grp"], [AggSpec("sum", Col("w"), "sw")])
+        return shape, GroupBy(join, ["grp"], [AggSpec("sum", Col("w"), "sw")])
     if shape == 4:
         join = MergeJoin(
             Sort(base, keys=["id"]),
@@ -105,22 +123,59 @@ def random_plan(seed: int):
             "id",
             "rid",
         )
-        return Aggregate(join, [AggSpec("count", None, "n")])
-    return Project(
+        return shape, Aggregate(join, [AggSpec("count", None, "n")])
+    return shape, Project(
         Sort(base, keys=["id"]),
         ["twice"],
         exprs=[Col("val") * 2],
     )
 
 
+def random_plan(seed: int):
+    return random_shaped_plan(seed)[1]
+
+
+def test_recorded_seeds_cover_every_plan_shape():
+    """Each of the six shapes appears at least three times in the seed
+    list, and both memory settings were recorded for every seed."""
+    shapes = [random_shaped_plan(seed)[0] for seed in RECORDED_SEEDS]
+    assert all(shapes.count(shape) >= 3 for shape in range(6))
+    for table in ITERATOR_REFERENCE["random_plan"].values():
+        assert sorted(map(int, table)) == list(RECORDED_SEEDS)
+
+
+def _check_recorded(label, **engine_kwargs):
+    table = ITERATOR_REFERENCE["random_plan"][label]
+    for seed in RECORDED_SEEDS:
+        host, sm = build_db()
+        rows = PushEngine(sm, **engine_kwargs).run_query(random_plan(seed))
+        # Same rows in the same order, same virtual finish time, same
+        # disk traffic as the iterator reference.
+        assert observed(host, rows) == table[str(seed)], (
+            f"seed {seed} ({label}): {random_plan(seed)!r}"
+        )
+
+
+def test_pushed_matches_recorded_iterator_table():
+    _check_recorded("default")
+
+
+def test_pushed_agrees_under_memory_pressure():
+    """The spill paths (external sort, Grace hash join) replay the
+    recorded schedule too: a tiny work_mem forces them."""
+    _check_recorded("work_mem_40", work_mem_tuples=40)
+    spilled = ITERATOR_REFERENCE["random_plan"]["work_mem_40"].values()
+    assert sum(1 for entry in spilled if entry[3] > 0) >= 10
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_engines_agree_on_random_plans(seed):
-    """Three-way differential: iterator vs QPipe vs push backend."""
+    """Row differential: QPipe vs the push engine."""
     plan = random_plan(seed)
 
     host, sm = build_db()
-    reference = IteratorEngine(sm).run_query(plan)
+    reference = PushEngine(sm).run_query(plan)
 
     host2, sm2 = build_db()
     qpipe = QPipeEngine(sm2, QPipeConfig(osp_enabled=True)).run_query(plan)
@@ -129,34 +184,6 @@ def test_engines_agree_on_random_plans(seed):
     # Order-producing roots must match exactly, not just as multisets.
     if isinstance(plan, (Sort, Project)):
         assert qpipe == reference
-
-    host3, sm3 = build_db()
-    pushed = PushEngine(sm3).run_query(plan)
-    # Virtual-cost equivalence: same rows in the same order, same
-    # virtual finish time, same disk traffic as the iterator reference.
-    assert pushed == reference
-    assert host3.sim.now == host.sim.now
-    assert host3.disk.stats.blocks_read == host.disk.stats.blocks_read
-    assert host3.disk.stats.blocks_written == host.disk.stats.blocks_written
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_pushed_agrees_under_memory_pressure(seed):
-    """The spill paths (external sort, Grace hash join) replay the
-    iterator schedule too: a tiny work_mem forces them on both sides."""
-    plan = random_plan(seed)
-
-    host, sm = build_db()
-    reference = IteratorEngine(sm, work_mem_tuples=40).run_query(plan)
-
-    host2, sm2 = build_db()
-    pushed = PushEngine(sm2, work_mem_tuples=40).run_query(plan)
-
-    assert pushed == reference
-    assert host2.sim.now == host.sim.now
-    assert host2.disk.stats.blocks_read == host.disk.stats.blocks_read
-    assert host2.disk.stats.blocks_written == host.disk.stats.blocks_written
 
 
 @settings(max_examples=10, deadline=None)
@@ -235,38 +262,29 @@ def _is_aggregate_sql(sql: str) -> bool:
 
 
 def test_differential_wisconsin_sql():
-    """~30 seeded random SQL queries agree across the iterator engine,
-    QPipe with sharing off, QPipe with sharing on (submitted
-    concurrently), and the push backend."""
+    """~30 seeded random SQL queries agree across the push engine (which
+    must reproduce the recorded iterator table), QPipe with sharing off,
+    and QPipe with sharing on (submitted concurrently)."""
     queries = {seed: random_wisconsin_sql(seed) for seed in DIFFERENTIAL_SEEDS}
-
-    host_ref, sm_ref = build_wisconsin_db()
-    ref_engine = IteratorEngine(sm_ref)
-    reference_exact = {
-        seed: ref_engine.run_query(sql_plan(sql, sm_ref.catalog))
-        for seed, sql in queries.items()
-    }
-    reference = {
-        seed: sorted(rows) for seed, rows in reference_exact.items()
-    }
+    recorded = ITERATOR_REFERENCE["wisconsin_sql"]
+    assert sorted(map(int, recorded)) == DIFFERENTIAL_SEEDS
 
     host_push, sm_push = build_wisconsin_db()
     push_engine = PushEngine(sm_push)
+    reference = {}
     aggregates = 0
     for seed, sql in queries.items():
         got = push_engine.run_query(sql_plan(sql, sm_push.catalog))
-        # Schedule equivalence: exact row order, not just the multiset.
-        assert got == reference_exact[seed], (
+        # Schedule equivalence: exact row order, not just the multiset,
+        # and the clock and disk counters after each query.
+        assert observed(host_push, got) == recorded[str(seed)], (
             f"pushed mismatch seed {seed}: {sql}"
         )
+        reference[seed] = sorted(got)
         if _is_aggregate_sql(sql):
             aggregates += 1
     # The seed range must actually have exercised aggregate equality.
     assert aggregates >= 5
-    assert host_push.sim.now == host_ref.sim.now
-    assert (
-        host_push.disk.stats.blocks_read == host_ref.disk.stats.blocks_read
-    )
 
     host_off, sm_off = build_wisconsin_db()
     engine_off = QPipeEngine(sm_off, QPipeConfig(osp_enabled=False))

@@ -110,12 +110,12 @@ def test_update_rows_predicate(big_db):
 
 def test_descending_external_sort_both_engines(big_db):
     """External (spilled) descending sorts are exact on both engines."""
-    from repro.baseline.engine import IteratorEngine
+    from repro.pushexec import PushEngine
 
     _h, sm, r_rows, _s = big_db
     plan = Sort(TableScan("r"), keys=["val"], descending=True)
     expected = sorted(r_rows, key=lambda r: r[2], reverse=True)
-    reference = IteratorEngine(sm, work_mem_tuples=300).run_query(plan)
+    reference = PushEngine(sm, work_mem_tuples=300).run_query(plan)
     qpipe = QPipeEngine(
         sm, QPipeConfig(work_mem_tuples=300)
     ).run_query(plan)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
@@ -21,7 +21,7 @@ from repro.relational.plans import (
 
 def run_both(db, plan, ordered_root=False):
     _h, sm, _r, _s = db
-    reference = IteratorEngine(sm).run_query(plan)
+    reference = PushEngine(sm).run_query(plan)
     qpipe = QPipeEngine(sm, QPipeConfig()).run_query(plan)
     if ordered_root:
         assert qpipe == reference
@@ -67,7 +67,7 @@ def test_limit_validation():
 def test_limit_stops_upstream_scan(big_db):
     """LIMIT must not force a full table scan."""
     host, sm, _r, _s = big_db
-    engine = IteratorEngine(sm)
+    engine = PushEngine(sm)
     before = host.disk.stats.blocks_read
     engine.run_query(Limit(TableScan("r"), count=3))
     assert host.disk.stats.blocks_read - before < sm.num_pages("r")
@@ -86,7 +86,7 @@ def test_distinct_removes_duplicates(db):
 def test_distinct_preserves_first_seen_order(db):
     _h, sm, r_rows, _s = db
     plan = Distinct(TableScan("r", project=["grp"]))
-    rows = IteratorEngine(sm).run_query(plan)
+    rows = PushEngine(sm).run_query(plan)
     expected = []
     for r in r_rows:
         if (r[1],) not in expected:

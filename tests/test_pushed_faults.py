@@ -1,9 +1,8 @@
 """Fault teardown on the push-based fused backend.
 
 A crashed pushed query unwinds compiled pipeline generators rather than
-operator objects, so the teardown path is different from both the
-packet engine (packet chains) and the iterator engine (operator close
-methods): the engine must close the generator stack, drop any live
+packet chains, so the teardown path is different from the packet
+engine's: the engine must close the generator stack, drop any live
 spill files, release every buffer pin, and sweep the query's locks.
 These tests pin that balance after faults land mid-sort-spill and
 mid-join-partitioning, and that the engine stays usable afterwards.

@@ -2,9 +2,12 @@
 
 The ``--engine pushed`` contract: substituting the push backend into a
 figure's engine-invariant cells must not change a byte of the output.
-These tests pin one fig8 cell and one fig12 cell to *committed* payload
-hashes and check that the packet machinery and the push backend --
-serially and on a two-worker process pool -- all reproduce them.
+These tests pin figure cells to *committed* payload hashes: a fig8
+Baseline cell, which must come out the same on the packet machinery and
+on the push backend, and the DBMS X cells of fig8 and fig12, which run
+on the push engine.  Each is checked serially and on a two-worker
+process pool.  The DBMS X hashes were recorded while that persona still
+ran on the Volcano iterator engine.
 
 The hashes are part of the repository's recorded results: if a change
 legitimately moves a figure, recompute them with the snippet in each
@@ -14,14 +17,16 @@ test's failure message.
 import hashlib
 import json
 
-from repro.harness.config import SMOKE
+from repro.harness.config import CLIENT_SEED_BASE, SMOKE
 from repro.harness.experiments import (
+    fig8_cell,
     fig8_cells,
     fig12_cells,
     force_engine,
     substitute_engine,
 )
 from repro.parallel import PoolRunner
+from repro.parallel.cells import CellSpec, coords, fn_key
 
 #: sha256 of the canonical-JSON payload of one committed cell each.
 FIG8_CELL_SHA = (
@@ -29,6 +34,9 @@ FIG8_CELL_SHA = (
 )
 FIG12_CELL_SHA = (
     "24c5b18b98306ec1d61f7c33a24e35d1ac9ff000048343eeca654153b9043d09"
+)
+FIG8_DBMSX_CELL_SHA = (
+    "39fa9ec190eee7b6f4dff1100d6343e10918d044c75eac8f9e9a2596173f80c9"
 )
 
 
@@ -48,6 +56,17 @@ def _fig8_spec():
     ][0]
 
 
+def _fig8_dbmsx_spec():
+    """A DBMS X fig8 cell.  The rendered figure plots only Baseline and
+    QPipe w/OSP; the repository benchmark's scan sweep runs DBMS X
+    cells through the same cell function."""
+    return CellSpec(
+        "fig8", fn_key(fig8_cell), SMOKE,
+        coords(count=2, system="dbmsx", gap=20),
+        seeds=(("CLIENT_SEED_BASE", CLIENT_SEED_BASE),),
+    )
+
+
 def _fig12_spec():
     return [
         s
@@ -61,10 +80,17 @@ def _run(spec, jobs):
         return runner.run([spec])[spec].payload
 
 
-def _check_cell(spec, committed_sha):
+def _check_cell(spec, committed_sha, substituted=True):
     pushed = substitute_engine([spec], "pushed")[0]
-    assert pushed is not spec and dict(pushed.coords)["engine"] == "pushed"
-    for candidate in (spec, pushed):
+    if substituted:
+        assert pushed is not spec
+        assert dict(pushed.coords)["engine"] == "pushed"
+        candidates = (spec, pushed)
+    else:
+        # Already on the push engine: nothing to substitute.
+        assert pushed == spec
+        candidates = (spec,)
+    for candidate in candidates:
         for jobs in (1, 2):
             got = _sha(_run(candidate, jobs))
             assert got == committed_sha, (
@@ -79,13 +105,18 @@ def test_fig8_cell_hash_matches_committed_output():
     _check_cell(_fig8_spec(), FIG8_CELL_SHA)
 
 
+def test_fig8_dbmsx_cell_hash_matches_committed_output():
+    _check_cell(_fig8_dbmsx_spec(), FIG8_DBMSX_CELL_SHA, substituted=False)
+
+
 def test_fig12_cell_hash_matches_committed_output():
-    _check_cell(_fig12_spec(), FIG12_CELL_SHA)
+    _check_cell(_fig12_spec(), FIG12_CELL_SHA, substituted=False)
 
 
 def test_substitute_engine_rewrites_only_invariant_slots():
     """OSP cells must stay on the packet engine -- sharing lives there --
-    while dbms-x / baseline-fig8 cells may move to the push backend."""
+    while baseline-fig8 cells may move to the push backend.  dbms-x
+    cells already run on it, so they are left alone."""
     rewritten = substitute_engine(fig8_cells(SMOKE), "pushed")
     for spec in rewritten:
         c = dict(spec.coords)
@@ -96,7 +127,10 @@ def test_substitute_engine_rewrites_only_invariant_slots():
     rewritten = substitute_engine(fig12_cells(SMOKE), "pushed")
     for spec in rewritten:
         c = dict(spec.coords)
-        assert ("engine" in c) == (c["system"] == "dbmsx")
+        assert "engine" not in c
+    assert substitute_engine([_fig8_dbmsx_spec()], "pushed") == [
+        _fig8_dbmsx_spec()
+    ]
     # backend "packets" is the identity.
     originals = fig12_cells(SMOKE)
     assert substitute_engine(originals, "packets") == originals

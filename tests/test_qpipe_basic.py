@@ -1,6 +1,6 @@
 """QPipe engine correctness: every operator, OSP on and off.
 
-The iterator engine's results (already verified against naive Python)
+The push engine's results (already verified against naive Python)
 are the reference: both engines must return identical row sets.
 """
 
@@ -178,7 +178,7 @@ class TestOperators:
 
 def test_qpipe_matches_iterator_engine(db):
     """Cross-engine equivalence on a three-table-ish composite plan."""
-    from repro.baseline.engine import IteratorEngine
+    from repro.pushexec import PushEngine
 
     _h, sm, _r, _s = db
     plan = Sort(
@@ -190,7 +190,7 @@ def test_qpipe_matches_iterator_engine(db):
         ),
         keys=["w"],
     )
-    reference = IteratorEngine(sm).run_query(plan)
+    reference = PushEngine(sm).run_query(plan)
     got = QPipeEngine(sm).run_query(plan)
     assert sorted(got) == sorted(reference)
     assert [row[-1] for row in got] == [row[-1] for row in reference]

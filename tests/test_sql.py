@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.sql import SqlError, plan, run, tokenize
 from repro.sql.parser import parse
@@ -109,7 +109,7 @@ def test_parse_errors():
 # ---------------------------------------------------------------------------
 def run_sql(db, sql, ordered=False):
     _h, sm, _r, _s = db
-    reference = run(IteratorEngine(sm), sql)
+    reference = run(PushEngine(sm), sql)
     qpipe = run(QPipeEngine(sm, QPipeConfig()), sql)
     if ordered:
         assert qpipe == reference
@@ -325,7 +325,7 @@ def test_sql_q6_matches_plan_builder(tpch_sql_db):
       AND l_discount BETWEEN 0.059 AND 0.081
       AND l_quantity < 24
     """
-    engine = IteratorEngine(sm)
+    engine = PushEngine(sm)
     got = run(engine, sql)
     # Equivalent hand-built plan.
     from repro.relational.expressions import AggSpec, Col
@@ -436,7 +436,7 @@ def test_spec_exact_q4_in_sql(tpch_sql_db):
     GROUP BY o_orderpriority
     ORDER BY o_orderpriority
     """
-    got = run(IteratorEngine(sm), sql)
+    got = run(PushEngine(sm), sql)
     # Naive reference over the raw rows.
     import datetime
 
@@ -524,7 +524,7 @@ def test_delete_unknown_column_rejected(db):
 def run_sql_dml(db, sql):
     """DML mutates shared state: run on one engine only."""
     _h, sm, _r, _s = db
-    return run(IteratorEngine(sm), sql)
+    return run(PushEngine(sm), sql)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.sql import plan, run
@@ -80,7 +80,7 @@ def test_filtered_projections_agree_with_python(seed):
     pred = predicate_sql(rng)
     sql = f"SELECT id, val FROM r WHERE {pred}"
     host, sm, r_rows, _s = build_db()
-    got = run(IteratorEngine(sm), sql)
+    got = run(PushEngine(sm), sql)
     qp = run(QPipeEngine(sm, QPipeConfig()), sql)
     check = predicate_python(pred)
     expected = sorted((r[0], r[2]) for r in r_rows if check(r))
@@ -98,7 +98,7 @@ def test_grouped_aggregates_agree_with_python(seed):
         f"WHERE {pred} GROUP BY grp"
     )
     host, sm, r_rows, _s = build_db()
-    got = run(IteratorEngine(sm), sql)
+    got = run(PushEngine(sm), sql)
     check = predicate_python(pred)
     expected = {}
     for r in r_rows:
@@ -128,7 +128,7 @@ def test_order_limit_agree_with_python(seed, limit, descending):
         f"LIMIT {limit}"
     )
     host, sm, r_rows, _s = build_db()
-    got = run(IteratorEngine(sm), sql)
+    got = run(PushEngine(sm), sql)
     check = predicate_python(pred)
     ids = sorted((r[0] for r in r_rows if check(r)), reverse=descending)
     assert got == [(i,) for i in ids[:limit]]
@@ -143,7 +143,7 @@ def test_joins_agree_with_python(seed):
         f"SELECT r.id, s.w FROM r JOIN s ON r.id = s.rid WHERE {pred}"
     )
     host, sm, r_rows, s_rows = build_db()
-    got = run(IteratorEngine(sm), sql)
+    got = run(PushEngine(sm), sql)
     check = predicate_python(pred)
     by_id = {r[0]: r for r in r_rows}
     expected = sorted(

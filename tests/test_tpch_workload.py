@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.storage.manager import StorageManager
@@ -34,7 +34,7 @@ def tpch():
 def run_both(tpch_db, plan):
     """Run the plan on both engines; assert equal; return the rows."""
     _host, sm, _tables = tpch_db
-    reference = IteratorEngine(sm).run_query(plan)
+    reference = PushEngine(sm).run_query(plan)
     qpipe_rows = QPipeEngine(sm, QPipeConfig()).run_query(plan)
     assert sorted(qpipe_rows) == sorted(reference)
     return reference

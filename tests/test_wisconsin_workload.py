@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baseline.engine import IteratorEngine
+from repro.pushexec import PushEngine
 from repro.engine.qpipe import QPipeConfig, QPipeEngine
 from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import Col
@@ -48,7 +48,7 @@ def test_small_is_tenth_of_big():
 def test_three_way_join_matches_naive(wisconsin):
     host, sm, tables = wisconsin
     plan = three_way_join(big_range=150)
-    reference = IteratorEngine(sm).run_query(plan)
+    reference = PushEngine(sm).run_query(plan)
     qpipe_rows = QPipeEngine(sm, QPipeConfig()).run_query(plan)
     assert qpipe_rows == reference
 
@@ -65,7 +65,7 @@ def test_three_way_join_with_small_filter(wisconsin):
     plan = three_way_join(
         big_range=150, small_predicate=Col("onepercent") == 3
     )
-    rows = IteratorEngine(sm).run_query(plan)
+    rows = PushEngine(sm).run_query(plan)
     big1 = {r[0] for r in tables["big1"] if r[0] < 150}
     big2 = {r[0] for r in tables["big2"] if r[0] < 150}
     small = {r[0]: r[1] for r in tables["small"] if r[6] == 3}
