@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
+# SEGMENT_BOUNDARY: the marker batch separating two ordered segments in
+# one stream (section 4.3.2); the merge join's cursor handles it.
+from repro.relational.operators import SEGMENT_BOUNDARY
 from repro.sim import (
     AnyOf,
     Channel,
@@ -27,11 +30,6 @@ from repro.sim import (
     Lock,
     Simulator,
 )
-
-#: Marker batch separating two ordered segments in one stream, used by
-#: the section 4.3.2 order-sensitive scan strategy: the merge-join sees
-#: the marker, restarts its other input, and joins the next segment.
-SEGMENT_BOUNDARY = ("__segment_boundary__",)
 
 
 class TupleBuffer:

@@ -3,11 +3,10 @@
 from repro.engine.engines.aggregates import AggEngine, GroupByEngine
 from repro.engine.engines.iscan import IScanEngine
 from repro.engine.engines.joins import (
+    BuildProbeJoinEngine,
     HashJoinEngine,
     MergeJoinEngine,
     NLJoinEngine,
-    OuterJoinEngine,
-    SemiJoinEngine,
 )
 from repro.engine.engines.misc import (
     DistinctEngine,
@@ -21,6 +20,7 @@ from repro.engine.engines.sort import SortEngine
 
 __all__ = [
     "AggEngine",
+    "BuildProbeJoinEngine",
     "DistinctEngine",
     "FilterEngine",
     "FScanEngine",
@@ -30,9 +30,7 @@ __all__ = [
     "MergeJoinEngine",
     "LimitEngine",
     "NLJoinEngine",
-    "OuterJoinEngine",
     "ProjectEngine",
-    "SemiJoinEngine",
     "SortEngine",
     "UpdateEngine",
 ]
@@ -50,9 +48,11 @@ def build_engines(engine, workers: int):
         "hashjoin": HashJoinEngine("hashjoin", engine, workers=workers),
         "mergejoin": MergeJoinEngine("mergejoin", engine, workers=workers),
         "nljoin": NLJoinEngine("nljoin", engine, workers=workers),
-        "semijoin": SemiJoinEngine("semijoin", engine, workers=workers),
-        "antijoin": SemiJoinEngine("antijoin", engine, workers=workers),
-        "outerjoin": OuterJoinEngine("outerjoin", engine, workers=workers),
+        "semijoin": BuildProbeJoinEngine("semijoin", engine, workers=workers),
+        "antijoin": BuildProbeJoinEngine("antijoin", engine, workers=workers),
+        "outerjoin": BuildProbeJoinEngine(
+            "outerjoin", engine, workers=workers
+        ),
         "limit": LimitEngine("limit", engine, workers=workers),
         "distinct": DistinctEngine("distinct", engine, workers=workers),
         "project": ProjectEngine("project", engine, workers=workers),

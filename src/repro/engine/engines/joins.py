@@ -12,18 +12,26 @@ Overlap classes (section 3.2):
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 from typing import Dict, Generator, List
 
-from repro.engine.buffers import SEGMENT_BOUNDARY, TupleBuffer
+from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
 from repro.relational.kernels import (
     filter_kernel,
+    join_key,
     join_keys,
     partition,
     probe,
     split_groups,
+)
+from repro.relational.operators import (
+    MergeCursor,
+    build_probe_kernels,
+    cross,
+    next_groups,
+    nl_probe,
 )
 
 OUT_BATCH = 256
@@ -114,142 +122,72 @@ class HashJoinEngine(MicroEngine):
                 sm.drop_temp_file(part)
 
 
-class _Cursor:
-    """Batch-buffered reader over one merge-join input stream."""
-
-    def __init__(self, buffer: TupleBuffer):
-        self.buffer = buffer
-        self.rows: deque = deque()
-        self.eos = False
-        self.segment_ended = False
-
-    def begin_next_segment(self) -> None:
-        self.segment_ended = False
-
-    def refill(self) -> Generator:
-        """Coroutine: ensure a row is available or a segment/stream end
-        is flagged."""
-        while not self.rows and not self.eos and not self.segment_ended:
-            batch = yield from self.buffer.get()
-            if batch is None:
-                self.eos = True
-            elif batch is SEGMENT_BOUNDARY:
-                self.segment_ended = True
-            else:
-                self.rows.extend(batch)
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.rows and (self.eos or self.segment_ended)
-
-
 class MergeJoinEngine(MicroEngine):
     overlap_class = "step"
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
-        left = _Cursor(packet.inputs[0])
-        right = _Cursor(packet.inputs[1])
+        lkey = join_key(plan.left_key, plan.left.output_schema(catalog))
+        rkey = join_key(plan.right_key, plan.right.output_schema(catalog))
+        left_in, right_in = packet.inputs
+        left, right = MergeCursor(left_in.get), MergeCursor(right_in.get)
 
         packet.phase = "merge"
         while True:
-            yield from self._merge_pass(packet, left, right, lkey, rkey)
+            while True:
+                groups = yield from next_groups(left, right, lkey, rkey)
+                if groups is None:
+                    break
+                lgroup, rgroup = groups
+                yield from self.charge(packet, len(lgroup) * len(rgroup))
+                # Pipelined: each matched group ships immediately.
+                yield from packet.output.put(cross(lgroup, rgroup))
             if left.segment_ended and not left.eos:
                 # Section 4.3.2: the left input delivered an out-of-order
                 # segment pair; restart the right subtree and join again.
-                self._abandon(right)
-                right = yield from self._restart(packet, plan.right)
-                left.begin_next_segment()
+                # Closing the abandoned buffer lets its producer detach
+                # and finish without blocking.
+                right_in.close()
+                right_in = self._restart(packet, plan.right)
+                right = MergeCursor(right_in.get)
+                left.segment_ended = False
             elif right.segment_ended and not right.eos:
-                self._abandon(left)
-                left = yield from self._restart(packet, plan.left)
-                right.begin_next_segment()
+                left_in.close()
+                left_in = self._restart(packet, plan.left)
+                left = MergeCursor(left_in.get)
+                right.segment_ended = False
             else:
                 break
 
-    @staticmethod
-    def _abandon(cursor: _Cursor) -> None:
-        """Stop reading a pass's leftover input; closing the buffer lets
-        its producer detach and finish without blocking."""
-        cursor.rows.clear()
-        cursor.buffer.close()
-
-    def _restart(self, packet: Packet, child_plan) -> Generator:
+    def _restart(self, packet: Packet, child_plan):
         buffer = self.engine.dispatcher.dispatch_subtree(
             packet.query, child_plan
         )
         packet.query.bump("mj_restarts")
-        return _Cursor(buffer)
-        yield  # pragma: no cover - coroutine signature consistency
-
-    def _merge_pass(self, packet, left, right, lkey, rkey) -> Generator:
-        query = packet.query
-        pending: List[tuple] = []
-        while True:
-            yield from left.refill()
-            yield from right.refill()
-            if left.exhausted or right.exhausted:
-                break
-            lk, rk = lkey(left.rows[0]), rkey(right.rows[0])
-            if lk < rk:
-                left.rows.popleft()
-            elif rk < lk:
-                right.rows.popleft()
-            else:
-                lgroup = yield from self._take_group(left, lkey, lk)
-                rgroup = yield from self._take_group(right, rkey, rk)
-                yield from self.charge(packet, len(lgroup) * len(rgroup))
-                for lrow in lgroup:
-                    for rrow in rgroup:
-                        pending.append(lrow + rrow)
-                # Pipelined: each matched group ships immediately.
-                if pending:
-                    yield from packet.output.put(pending)
-                    pending = []
-
-    def _take_group(self, cursor: _Cursor, key, value) -> Generator:
-        group: List[tuple] = []
-        while True:
-            while cursor.rows and key(cursor.rows[0]) == value:
-                group.append(cursor.rows.popleft())
-            if cursor.rows:
-                return group
-            yield from cursor.refill()
-            if not cursor.rows:
-                return group
+        return buffer
 
 
-class SemiJoinEngine(MicroEngine):
-    """EXISTS / NOT EXISTS: *full* overlap while the right key set builds,
-    *step* once left rows start flowing out."""
+class BuildProbeJoinEngine(MicroEngine):
+    """EXISTS / NOT EXISTS and hash left-outer joins: *full* overlap
+    while the right side builds, *step* once left rows flow out
+    (unmatched outer rows padded with NULLs)."""
 
     overlap_class = "full"
 
     def serve(self, packet: Packet) -> Generator:
-        from repro.relational.plans import AntiJoin
-
         plan = packet.plan
-        query = packet.query
         catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
-        anti = isinstance(plan, AntiJoin)
+        lkeys = join_keys(plan.left_key, plan.left.output_schema(catalog))
+        rschema = plan.right.output_schema(catalog)
+        build, probe = build_probe_kernels(plan, len(rschema))
         left_in, right_in = packet.inputs
+        charge = partial(self.charge, packet)
 
         packet.phase = "build"
-        keys = set()
-        while True:
-            batch = yield from right_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            for row in batch:
-                keys.add(rkey(row))
+        side = yield from build(
+            right_in.get, join_keys(plan.right_key, rschema), charge
+        )
 
         packet.phase = "probe"
         while True:
@@ -258,60 +196,10 @@ class SemiJoinEngine(MicroEngine):
                 break
             if batch is SEGMENT_BOUNDARY:
                 continue
-            yield from self.charge(packet, len(batch))
-            if anti:
-                kept = [r for r in batch if lkey(r) not in keys]
-            else:
-                kept = [r for r in batch if lkey(r) in keys]
-            if kept:
-                yield from packet.output.put(kept)
-
-
-class OuterJoinEngine(MicroEngine):
-    """Hash left-outer join: build right (*full*), probe left (*step*),
-    padding unmatched left rows with NULLs."""
-
-    overlap_class = "full"
-
-    def serve(self, packet: Packet) -> Generator:
-        plan = packet.plan
-        query = packet.query
-        catalog = self.engine.sm.catalog
-        lkey = plan.left.output_schema(catalog).projector([plan.left_key])
-        rkey = plan.right.output_schema(catalog).projector([plan.right_key])
-        pad = (None,) * len(plan.right.output_schema(catalog))
-        left_in, right_in = packet.inputs
-
-        packet.phase = "build"
-        table: Dict = {}
-        while True:
-            batch = yield from right_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            for row in batch:
-                table.setdefault(rkey(row), []).append(row)
-
-        packet.phase = "probe"
-        while True:
-            batch = yield from left_in.get()
-            if batch is None:
-                break
-            if batch is SEGMENT_BOUNDARY:
-                continue
-            yield from self.charge(packet, len(batch))
-            pending: List[tuple] = []
-            for lrow in batch:
-                matches = table.get(lkey(lrow))
-                if matches:
-                    for rrow in matches:
-                        pending.append(lrow + rrow)
-                else:
-                    pending.append(lrow + pad)
-            if pending:
-                yield from packet.output.put(pending)
+            yield from charge(len(batch))
+            out = probe(side, lkeys(batch), batch)
+            if out:
+                yield from packet.output.put(out)
 
 
 class NLJoinEngine(MicroEngine):
@@ -319,8 +207,8 @@ class NLJoinEngine(MicroEngine):
 
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
         sm = self.engine.sm
+        charge = partial(self.charge, packet)
         keep = filter_kernel(plan.predicate, plan.output_schema(sm.catalog))
         left_in, right_in = packet.inputs
 
@@ -338,14 +226,7 @@ class NLJoinEngine(MicroEngine):
                     break
                 if batch is SEGMENT_BOUNDARY:
                     continue
-                pending: List[tuple] = []
-                for block in range(mat.num_pages):
-                    page = yield from sm.read_temp_page(mat, block)
-                    rows = page.rows()
-                    yield from self.charge(packet, len(batch) * len(rows))
-                    pending.extend(
-                        keep([lrow + rrow for lrow in batch for rrow in rows])
-                    )
+                pending = yield from nl_probe(sm, mat, batch, keep, charge)
                 if pending:
                     yield from packet.output.put(pending)
         finally:

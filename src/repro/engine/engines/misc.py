@@ -14,10 +14,10 @@ from typing import Generator
 from repro.engine.buffers import SEGMENT_BOUNDARY
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet
-from repro.relational.kernels import filter_kernel, project_kernel, row_fn
+from repro.relational.kernels import filter_kernel, project_kernel
+from repro.relational.operators import distinct, write_rows
 from repro.relational.plans import DeleteRows, InsertRows, UpdateRows
 from repro.storage.locks import LockMode
-from repro.storage.page import RID
 
 
 class ProjectEngine(MicroEngine):
@@ -104,11 +104,7 @@ class DistinctEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from self.charge(packet, len(batch))
-            fresh = []
-            for row in batch:
-                if row not in seen:
-                    seen.add(row)
-                    fresh.append(row)
+            fresh = distinct(seen, batch)
             if fresh:
                 yield from packet.output.put(fresh)
 
@@ -125,69 +121,16 @@ class UpdateEngine(MicroEngine):
         plan = packet.plan
         # Writes invalidate any cached results over this table.
         self.engine.result_cache.invalidate_table(plan.table)
-        if isinstance(plan, InsertRows):
-            yield from self._insert(packet, plan)
-        elif isinstance(plan, UpdateRows):
-            yield from self._update(packet, plan)
-        elif isinstance(plan, DeleteRows):
-            yield from self._delete(packet, plan)
-        else:
+        if not isinstance(plan, (InsertRows, UpdateRows, DeleteRows)):
             raise TypeError(f"update engine got {type(plan).__name__}")
-
-    def _insert(self, packet: Packet, plan: InsertRows) -> Generator:
         sm = self.engine.sm
         owner = ("q", packet.query.query_id, packet.packet_id)
         packet.phase = "lock"
         yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         packet.phase = "write"
         try:
-            for row in plan.rows:
-                yield from sm.insert_row(plan.table, row)
+            count = yield from write_rows(sm, plan)
         finally:
             # Tolerant: the abort path's lock sweep may get here first.
             sm.locks.release_if_held(owner, plan.table)
-        yield from packet.output.put([(len(plan.rows),)])
-
-    def _delete(self, packet: Packet, plan: DeleteRows) -> Generator:
-        sm = self.engine.sm
-        owner = ("q", packet.query.query_id, packet.packet_id)
-        schema = sm.catalog.table_schema(plan.table)
-        pred = row_fn(plan.predicate, schema) if plan.predicate else None
-        packet.phase = "lock"
-        yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
-        packet.phase = "write"
-        removed = 0
-        try:
-            info = sm.catalog.table(plan.table)
-            for block in range(info.num_pages):
-                page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from sm.delete_row(plan.table, RID(block, slot))
-                        removed += 1
-        finally:
-            sm.locks.release_if_held(owner, plan.table)
-        yield from packet.output.put([(removed,)])
-
-    def _update(self, packet: Packet, plan: UpdateRows) -> Generator:
-        sm = self.engine.sm
-        owner = ("q", packet.query.query_id, packet.packet_id)
-        schema = sm.catalog.table_schema(plan.table)
-        pred = row_fn(plan.predicate, schema) if plan.predicate else None
-        packet.phase = "lock"
-        yield sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
-        packet.phase = "write"
-        changed = 0
-        try:
-            info = sm.catalog.table(plan.table)
-            for block in range(info.num_pages):
-                page = yield from sm.read_table_page(plan.table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from sm.update_row(
-                            plan.table, RID(block, slot), plan.apply(row)
-                        )
-                        changed += 1
-        finally:
-            sm.locks.release_if_held(owner, plan.table)
-        yield from packet.output.put([(changed,)])
+        yield from packet.output.put([(count,)])

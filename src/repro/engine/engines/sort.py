@@ -10,12 +10,13 @@ the window entirely.
 
 from __future__ import annotations
 
-from math import log2
+from functools import partial
 from typing import Generator, List
 
 from repro.engine.micro_engine import MicroEngine
 from repro.engine.packets import Packet, PacketState
 from repro.faults.errors import FaultError
+from repro.relational.operators import ExternalSort
 
 EMIT_BATCH = 1024
 
@@ -26,46 +27,41 @@ class SortEngine(MicroEngine):
     # ------------------------------------------------------------------
     def serve(self, packet: Packet) -> Generator:
         plan = packet.plan
-        query = packet.query
         sm = self.engine.sm
-        child_schema = plan.child.output_schema(sm.catalog)
-        key = child_schema.projector(plan.keys)
-        reverse = plan.descending
+        sorter = ExternalSort(
+            sm,
+            plan,
+            plan.child.output_schema(sm.catalog),
+            packet.query.work_mem_tuples,
+            partial(self.charge, packet),
+            self.engine.host.config.sort_cpu_factor,
+            sm.create_temp_file,
+        )
 
         packet.phase = "sort"
-        budget = query.work_mem_tuples
-        runs = []
-        buffer: List[tuple] = []
         source = packet.inputs[0]
         try:
             while True:
                 batch = yield from source.get()
                 if batch is None:
                     break
-                buffer.extend(batch)
-                if len(buffer) >= budget:
-                    yield from self._spill(
-                        packet, buffer, key, reverse, runs
-                    )
-                    buffer = []
-            if runs:
-                if buffer:
-                    yield from self._spill(
-                        packet, buffer, key, reverse, runs
-                    )
-                result = yield from self._merge_runs(
-                    packet, runs, key, reverse
-                )
+                yield from sorter.add(batch)
+            result = yield from sorter.finish()
+            if result is None:
+                # Spilled: read the whole merge, then charge it once.
+                merge = sorter.merge()
+                result = []
+                while True:
+                    row = yield from merge.next()
+                    if row is None:
+                        break
+                    result.append(row)
+                yield from self.charge(packet, len(result))
         finally:
             # Sweeps the spilled runs on faults too; on the normal path
-            # this fires right after _merge_runs returns, the same point
-            # the drop loop used to live.
-            for run in runs:
+            # this fires right after the merge's charge.
+            for run in sorter.runs:
                 sm.drop_temp_file(run)
-        if not runs:
-            yield from self._sort_cpu(packet, len(buffer))
-            buffer.sort(key=key, reverse=reverse)
-            result = buffer
 
         # Materialisation function: retain the sorted result for late
         # satellites while this packet is active.
@@ -73,72 +69,6 @@ class SortEngine(MicroEngine):
         packet.phase = "emit"
         for start in range(0, len(result), EMIT_BATCH):
             yield from packet.output.put(result[start:start + EMIT_BATCH])
-
-    def _sort_cpu(self, packet: Packet, n: int) -> Generator:
-        if n <= 0:
-            return
-        comparisons = int(n * max(1.0, log2(max(2, n))))
-        yield from self.charge(packet, 
-            comparisons, factor=self.engine.host.config.sort_cpu_factor
-        )
-
-    def _spill(self, packet, rows, key, reverse, runs) -> Generator:
-        yield from self._sort_cpu(packet, len(rows))
-        rows.sort(key=key, reverse=reverse)
-        schema = packet.plan.output_schema(self.engine.sm.catalog)
-        run = self.engine.sm.create_temp_file(schema.row_width, "sortrun")
-        # Registered before the (interruptible) write so the caller's
-        # fault sweep sees a half-written run.
-        runs.append(run)
-        yield from self.engine.sm.write_run(run, rows)
-
-    def _merge_runs(self, packet, runs, key, reverse) -> Generator:
-        """Coroutine: k-way merge of spilled runs, charging page reads."""
-        sm = self.engine.sm
-        cursors = []
-        for run in runs:
-            cursors.append({"run": run, "block": 0, "rows": [], "idx": 0})
-
-        def exhausted(cursor):
-            return (
-                cursor["idx"] >= len(cursor["rows"])
-                and cursor["block"] >= cursor["run"].num_pages
-            )
-
-        result: List[tuple] = []
-        for cursor in cursors:
-            if cursor["run"].num_pages:
-                page = yield from sm.read_temp_page(cursor["run"], 0)
-                cursor["rows"] = page.rows()
-                cursor["block"] = 1
-        while True:
-            best = None
-            for cursor in cursors:
-                if cursor["idx"] >= len(cursor["rows"]):
-                    if cursor["block"] < cursor["run"].num_pages:
-                        page = yield from sm.read_temp_page(
-                            cursor["run"], cursor["block"]
-                        )
-                        cursor["rows"] = page.rows()
-                        cursor["idx"] = 0
-                        cursor["block"] += 1
-                    else:
-                        continue
-                row = cursor["rows"][cursor["idx"]]
-                rank = key(row)
-                better = (
-                    best is None
-                    or (rank > best[0] if reverse else rank < best[0])
-                )
-                if better:
-                    best = (rank, cursor)
-            if best is None:
-                break
-            cursor = best[1]
-            result.append(cursor["rows"][cursor["idx"]])
-            cursor["idx"] += 1
-        yield from self.charge(packet, len(result))
-        return result
 
     # ------------------------------------------------------------------
     # OSP: generic full/step sharing plus materialised re-emission

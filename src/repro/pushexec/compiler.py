@@ -28,11 +28,8 @@ Volcano operators) and by the committed figure-cell hashes.
 
 from __future__ import annotations
 
-import heapq
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.hw.host import Host
@@ -40,12 +37,21 @@ from repro.pushexec import fusion
 from repro.relational.kernels import (
     AggKernel,
     filter_kernel,
+    join_key,
     join_keys,
     partition,
     probe,
-    row_fn,
     scan_kernel,
     split_groups,
+)
+from repro.relational.operators import (
+    ExternalSort,
+    MergeCursor,
+    build_probe_kernels,
+    cross,
+    next_groups,
+    nl_probe,
+    write_rows,
 )
 from repro.relational.plans import (
     Aggregate,
@@ -70,7 +76,6 @@ from repro.relational.plans import (
 )
 from repro.storage.locks import LockMode
 from repro.storage.manager import StorageManager
-from repro.storage.page import RID
 from repro.storage.streams import next_stream
 
 __all__ = ["ExecContext", "Pipeline", "compile_plan", "pull_batch"]
@@ -108,6 +113,12 @@ class ExecContext:
         self.temp_files.append(temp)
         return temp
 
+    def create_temp(self, row_width: int, label: str) -> Any:
+        """A new temp file, registered for fault-path cleanup at birth."""
+        return self.track_temp(
+            self.sm.create_temp_file(row_width, label=label)
+        )
+
     def drop_temp(self, temp) -> None:
         """Drop a temp file and unregister it (normal-path cleanup)."""
         if temp in self.temp_files:
@@ -122,7 +133,7 @@ class ExecContext:
         parts = []
         for bucket in buckets:
             # Born tracked, so a fault mid-write leaves no orphan file.
-            part = self.track_temp(self.sm.create_temp_file(64, label=label))
+            part = self.create_temp(64, label)
             yield from self.sm.write_run(part, bucket)
             parts.append(part)
         return parts
@@ -136,28 +147,12 @@ class ExecContext:
         return rows
 
 
-class _Neg:
-    """Ordering inverter for descending sort keys in heap merges."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return other.value == self.value
-
-
 def pull_batch(gen) -> Generator:
     """Coroutine: resume *gen* to its next batch marker.
 
     Forwards every simulation event (and the kernel's replies) between
     *gen* and the caller's scheduler; returns the marker's rows, or
-    ``None`` once *gen* is exhausted.  The external sort's run readers
-    and merge use the same marker for single rows.
+    ``None`` once *gen* is exhausted.
     """
     try:
         item = next(gen)
@@ -348,84 +343,33 @@ def _index_source(ctx: ExecContext, plan: IndexScan) -> Callable:
 # Breakers (sort, joins, aggregation)
 # ---------------------------------------------------------------------------
 def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
-    key = schema.projector(plan.keys)
-    descending = plan.descending
-    row_width = schema.row_width
-    sort_factor = ctx.host.config.sort_cpu_factor
-
-    def sort_cost(n):
-        comparisons = n * max(1.0, math.log2(max(2, n)))
-        yield from ctx.cpu(int(comparisons), factor=sort_factor)
-
-    def spill(rows, runs):
-        yield from sort_cost(len(rows))
-        rows.sort(key=key, reverse=descending)
-        run_file = ctx.track_temp(
-            ctx.sm.create_temp_file(row_width, label="sortrun")
-        )
-        yield from ctx.sm.write_run(run_file, rows)
-        runs.append(run_file)
-
-    def run_reader(run_file):
-        for block in range(run_file.num_pages):
-            page = yield from ctx.sm.read_temp_page(run_file, block)
-            for row in page.rows():
-                yield (_BATCH, row)
-
-    def rank(row, sign):
-        k = key(row)
-        if sign == 1:
-            return k
-        return tuple(_Neg(part) for part in k)
-
-    def merged_rows(runs):
-        sign = -1 if descending else 1
-        readers = [run_reader(run_file) for run_file in runs]
-        heads: List = []
-        for i, reader in enumerate(readers):
-            row = yield from pull_batch(reader)
-            if row is not None:
-                heads.append((rank(row, sign), i, row))
-        heapq.heapify(heads)
-        while heads:
-            _r, i, row = heapq.heappop(heads)
-            yield (_BATCH, row)
-            nxt = yield from pull_batch(readers[i])
-            if nxt is not None:
-                heapq.heappush(heads, (rank(nxt, sign), i, nxt))
-
     def run():
-        budget = ctx.work_mem_tuples
-        runs: List = []
-        buffer: List[tuple] = []
+        sorter = ExternalSort(
+            ctx.sm, plan, schema, ctx.work_mem_tuples, ctx.cpu,
+            ctx.host.config.sort_cpu_factor, ctx.create_temp,
+        )
         child = child_factory()
         while True:
             batch = yield from pull_batch(child)
             if batch is None:
                 break
-            buffer.extend(batch)
-            if len(buffer) >= budget:
-                yield from spill(buffer, runs)
-                buffer = []
-        if not runs:
+            yield from sorter.add(batch)
+        rows = yield from sorter.finish()
+        if rows is not None:
             # In-memory path: one sort charge, the whole result as a
             # single charge-free batch.
-            yield from sort_cost(len(buffer))
-            buffer.sort(key=key, reverse=descending)
-            if buffer:
-                yield (_BATCH, buffer)
+            if rows:
+                yield (_BATCH, rows)
             return
-        if buffer:
-            yield from spill(buffer, runs)
-        merge = merged_rows(runs)
+        merge = sorter.merge()
         done = False
         while not done:
             out: List[tuple] = []
             while len(out) < 1024:
-                row = yield from pull_batch(merge)
+                row = yield from merge.next()
                 if row is None:
                     done = True
-                    for run_file in runs:
+                    for run_file in sorter.runs:
                         ctx.drop_temp(run_file)
                     break
                 out.append(row)
@@ -434,13 +378,6 @@ def _sort_source(ctx, plan: Sort, child_factory, schema) -> Callable:
                 yield (_BATCH, out)
 
     return run
-
-
-def _join_key(schema, col):
-    """Bare-column join key.  The projector's 1-tuple wrapping only
-    matters where keys reach output rows, which join keys never do;
-    a scalar groups and compares identically at C speed."""
-    return itemgetter(schema.index_of(col))
 
 
 def _hashjoin_source(
@@ -511,57 +448,19 @@ def _hashjoin_source(
 def _mergejoin_source(
     ctx, plan: MergeJoin, left_factory, right_factory, lschema, rschema
 ) -> Callable:
-    lkey = _join_key(lschema, plan.left_key)
-    rkey = _join_key(rschema, plan.right_key)
+    lkey = join_key(plan.left_key, lschema)
+    rkey = join_key(plan.right_key, rschema)
 
     def run():
-        gens = {"l": left_factory(), "r": right_factory()}
-        bufs: Dict[str, deque] = {"l": deque(), "r": deque()}
-        ends = {"l": False, "r": False}
-
-        def fill(side):
-            buf = bufs[side]
-            while not buf and not ends[side]:
-                batch = yield from pull_batch(gens[side])
-                if batch is None:
-                    ends[side] = True
-                else:
-                    buf.extend(batch)
-
-        def take_group(side, key, value):
-            buf = bufs[side]
-            group: List[tuple] = []
-            while True:
-                while buf and key(buf[0]) == value:
-                    group.append(buf.popleft())
-                if buf or ends[side]:
-                    return group
-                yield from fill(side)
-                if not buf:
-                    return group
-
+        left = MergeCursor(partial(pull_batch, left_factory()))
+        right = MergeCursor(partial(pull_batch, right_factory()))
         while True:
-            yield from fill("l")
-            yield from fill("r")
-            lbuf, rbuf = bufs["l"], bufs["r"]
-            if (ends["l"] and not lbuf) or (ends["r"] and not rbuf):
+            groups = yield from next_groups(left, right, lkey, rkey)
+            if groups is None:
                 return
-            lk = lkey(lbuf[0])
-            rk = rkey(rbuf[0])
-            if lk < rk:
-                lbuf.popleft()
-            elif rk < lk:
-                rbuf.popleft()
-            else:
-                lgroup = yield from take_group("l", lkey, lk)
-                rgroup = yield from take_group("r", rkey, rk)
-                yield from ctx.cpu(len(lgroup) * len(rgroup))
-                out: List[tuple] = []
-                for lrow in lgroup:
-                    for rrow in rgroup:
-                        out.append(lrow + rrow)
-                if out:
-                    yield (_BATCH, out)
+            lgroup, rgroup = groups
+            yield from ctx.cpu(len(lgroup) * len(rgroup))
+            yield (_BATCH, cross(lgroup, rgroup))
 
     return run
 
@@ -579,9 +478,7 @@ def _nljoin_source(
             if batch is None:
                 break
             rrows.extend(batch)
-        mat = ctx.track_temp(
-            ctx.sm.create_temp_file(right_width, label="nlj")
-        )
+        mat = ctx.create_temp(right_width, "nlj")
         yield from ctx.sm.write_run(mat, rrows)
         left = left_factory()
         while True:
@@ -589,14 +486,7 @@ def _nljoin_source(
             if batch is None:
                 ctx.drop_temp(mat)
                 return
-            out: List[tuple] = []
-            for block in range(mat.num_pages):
-                page = yield from ctx.sm.read_temp_page(mat, block)
-                prows = page.rows()
-                yield from ctx.cpu(len(batch) * len(prows))
-                out.extend(
-                    keep([lrow + rrow for lrow in batch for rrow in prows])
-                )
+            out = yield from nl_probe(ctx.sm, mat, batch, keep, ctx.cpu)
             if out:
                 yield (_BATCH, out)
 
@@ -651,97 +541,28 @@ def _groupby_source(ctx, plan: GroupBy, child_factory, in_schema) -> Callable:
 # ---------------------------------------------------------------------------
 # Probe-side builds (preludes fused into the left pipeline)
 # ---------------------------------------------------------------------------
-def _semi_build(ctx, right_factory, rkey, stage: fusion.SemiProbeStage):
-    def build():
-        keys = stage.keys
-        right = right_factory()
-        while True:
-            batch = yield from pull_batch(right)
-            if batch is None:
-                return
-            yield from ctx.cpu(len(batch))
-            for row in batch:
-                keys.add(rkey(row))
+def _build_prelude(ctx, right_factory, build, rkeys, stage) -> Callable:
+    """A semi/anti or outer join's build side, run as a prelude of the
+    left pipeline; fills ``stage.build``."""
+    def prelude():
+        get = partial(pull_batch, right_factory())
+        stage.build = yield from build(get, rkeys, ctx.cpu)
 
-    return build
-
-
-def _outer_build(ctx, right_factory, rkey, stage: fusion.OuterProbeStage):
-    def build():
-        table = stage.table
-        right = right_factory()
-        while True:
-            batch = yield from pull_batch(right)
-            if batch is None:
-                return
-            yield from ctx.cpu(len(batch))
-            for row in batch:
-                table.setdefault(rkey(row), []).append(row)
-
-    return build
+    return prelude
 
 
 # ---------------------------------------------------------------------------
 # DML sources (insert / update / delete)
 # ---------------------------------------------------------------------------
-def _insert_source(ctx, plan: InsertRows) -> Callable:
+def _write_source(ctx, plan) -> Callable:
     def run():
         owner = ctx.owner or next_stream()
         yield ctx.sm.locks.acquire(owner, plan.table, LockMode.EXCLUSIVE)
         try:
-            for row in plan.rows:
-                yield from ctx.sm.insert_row(plan.table, row)
+            count = yield from write_rows(ctx.sm, plan)
         finally:
             ctx.sm.locks.release(owner, plan.table)
-        yield (_BATCH, [(len(plan.rows),)])
-
-    return run
-
-
-def _update_source(ctx, plan: UpdateRows) -> Callable:
-    def run():
-        owner = ctx.owner or next_stream()
-        table = plan.table
-        schema = ctx.sm.catalog.table_schema(table)
-        pred = row_fn(plan.predicate, schema) if plan.predicate else None
-        yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
-        changed = 0
-        try:
-            info = ctx.sm.catalog.table(table)
-            for block in range(info.num_pages):
-                page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from ctx.sm.update_row(
-                            table, RID(block, slot), plan.apply(row)
-                        )
-                        changed += 1
-        finally:
-            ctx.sm.locks.release(owner, table)
-        yield (_BATCH, [(changed,)])
-
-    return run
-
-
-def _delete_source(ctx, plan: DeleteRows) -> Callable:
-    def run():
-        owner = ctx.owner or next_stream()
-        table = plan.table
-        schema = ctx.sm.catalog.table_schema(table)
-        pred = row_fn(plan.predicate, schema) if plan.predicate else None
-        yield ctx.sm.locks.acquire(owner, table, LockMode.EXCLUSIVE)
-        removed = 0
-        try:
-            info = ctx.sm.catalog.table(table)
-            for block in range(info.num_pages):
-                page = yield from ctx.sm.read_table_page(table, block)
-                for slot, row in list(page.items()):
-                    if pred is None or pred(row):
-                        yield from ctx.sm.delete_row(table, RID(block, slot))
-                        removed += 1
-        finally:
-            ctx.sm.locks.release(owner, table)
-        yield (_BATCH, [(removed,)])
+        yield (_BATCH, [(count,)])
 
     return run
 
@@ -828,43 +649,25 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
         )
         return Pipeline(ctx, source, [], [], schema)
 
-    if isinstance(plan, (SemiJoin, AntiJoin)):
+    if isinstance(plan, (SemiJoin, AntiJoin, LeftOuterJoin)):
         left = _compile(plan.left, ctx, choices)
         right = _compile(plan.right, ctx, choices)
-        lkey = _join_key(left.schema, plan.left_key)
-        rkey = _join_key(right.schema, plan.right_key)
-        stage = fusion.SemiProbeStage(lkey, anti=isinstance(plan, AntiJoin))
-        build = _semi_build(ctx, right.generator, rkey, stage)
-        # The key set is built at the *root's* first pull, before
+        build, probe = build_probe_kernels(plan, len(right.schema))
+        stage = fusion.ProbeStage(join_keys(plan.left_key, left.schema), probe)
+        rkeys = join_keys(plan.right_key, right.schema)
+        # The build side runs at the *root's* first pull, before
         # anything below the left input runs: outer preludes precede
         # inner ones.
+        prelude = _build_prelude(ctx, right.generator, build, rkeys, stage)
         return Pipeline(
             ctx,
             left.source_factory,
             left.stages + [stage],
-            [build] + left.preludes,
-            schema,
-        )
-    if isinstance(plan, LeftOuterJoin):
-        left = _compile(plan.left, ctx, choices)
-        right = _compile(plan.right, ctx, choices)
-        lkey = _join_key(left.schema, plan.left_key)
-        rkey = _join_key(right.schema, plan.right_key)
-        stage = fusion.OuterProbeStage(lkey, len(right.schema))
-        build = _outer_build(ctx, right.generator, rkey, stage)
-        return Pipeline(
-            ctx,
-            left.source_factory,
-            left.stages + [stage],
-            [build] + left.preludes,
+            [prelude] + left.preludes,
             schema,
         )
 
-    if isinstance(plan, InsertRows):
-        return Pipeline(ctx, _insert_source(ctx, plan), [], [], schema)
-    if isinstance(plan, UpdateRows):
-        return Pipeline(ctx, _update_source(ctx, plan), [], [], schema)
-    if isinstance(plan, DeleteRows):
-        return Pipeline(ctx, _delete_source(ctx, plan), [], [], schema)
+    if isinstance(plan, (InsertRows, UpdateRows, DeleteRows)):
+        return Pipeline(ctx, _write_source(ctx, plan), [], [], schema)
 
     raise TypeError(f"no push pipeline for {type(plan).__name__}")

@@ -50,6 +50,7 @@ from repro.relational.kernels import (  # noqa: F401
     filter_kernel,
     project_kernel,
 )
+from repro.relational.operators import distinct
 from repro.relational.plans import Distinct, Filter, Limit, PlanNode, Project
 from repro.relational.schema import Column, Schema
 
@@ -59,8 +60,7 @@ __all__ = [
     "ProjectStage",
     "LimitStage",
     "DistinctStage",
-    "SemiProbeStage",
-    "OuterProbeStage",
+    "ProbeStage",
     "eval_expr",
     "build_stage",
     "compile_chain",
@@ -145,7 +145,7 @@ class Stage:
 
 
 class FilterStage(Stage):
-    """Row selection; charges one tuple per input row (FilterOp)."""
+    """Row selection; charges one tuple per input row."""
 
     __slots__ = ("batch_fn",)
 
@@ -162,7 +162,8 @@ class FilterStage(Stage):
 
 
 class ProjectStage(Stage):
-    """Column selection / computed expressions (ProjectOp)."""
+    """Column selection / computed expressions; charges one tuple per
+    input row."""
 
     __slots__ = ("batch_fn",)
 
@@ -190,7 +191,7 @@ class ProjectStage(Stage):
 
 
 class LimitStage(Stage):
-    """OFFSET/LIMIT; charges nothing, like LimitOp."""
+    """OFFSET/LIMIT; charges nothing."""
 
     __slots__ = ("skip", "remaining")
 
@@ -219,8 +220,7 @@ class LimitStage(Stage):
 
 
 class DistinctStage(Stage):
-    """Streaming duplicate elimination, first occurrence wins
-    (DistinctOp)."""
+    """Streaming duplicate elimination, first occurrence wins."""
 
     __slots__ = ("seen",)
 
@@ -228,60 +228,24 @@ class DistinctStage(Stage):
         self.seen = set()
 
     def apply(self, batch):
-        seen = self.seen
-        out = []
-        for row in batch:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
+        return distinct(self.seen, batch)
 
 
-class SemiProbeStage(Stage):
-    """Probe half of a semi/anti join, fused into the left pipeline.
+class ProbeStage(Stage):
+    """Probe half of a semi/anti or left-outer join, fused into the left
+    pipeline: ``probe(build, keys(batch), batch)``.  ``build`` (the
+    right side's key set or rows by key) is filled by a build prelude
+    (compiler) before the first batch arrives."""
 
-    ``keys`` is filled by a build prelude (compiler) before the first
-    batch arrives; the stage itself is a pure membership filter, exactly
-    SemiJoinOp's probe loop.
-    """
+    __slots__ = ("build", "keys", "probe")
 
-    __slots__ = ("keys", "key_fn", "anti")
-
-    def __init__(self, key_fn, anti: bool):
-        self.keys = set()
-        self.key_fn = key_fn
-        self.anti = anti
+    def __init__(self, keys, probe):
+        self.build = None
+        self.keys = keys
+        self.probe = probe
 
     def apply(self, batch):
-        keys, key_fn = self.keys, self.key_fn
-        if self.anti:
-            return [row for row in batch if key_fn(row) not in keys]
-        return [row for row in batch if key_fn(row) in keys]
-
-
-class OuterProbeStage(Stage):
-    """Probe half of a left-outer hash join, fused into the left
-    pipeline; ``table`` is filled by a build prelude.  Unmatched left
-    rows pad the right side with Nones (LeftOuterJoinOp)."""
-
-    __slots__ = ("table", "key_fn", "pad")
-
-    def __init__(self, key_fn, right_width: int):
-        self.table = {}
-        self.key_fn = key_fn
-        self.pad = (None,) * right_width
-
-    def apply(self, batch):
-        table, key_fn, pad = self.table, self.key_fn, self.pad
-        out = []
-        for lrow in batch:
-            matches = table.get(key_fn(lrow))
-            if matches:
-                for rrow in matches:
-                    out.append(lrow + rrow)
-            else:
-                out.append(lrow + pad)
-        return out
+        return self.probe(self.build, self.keys(batch), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ __all__ = [
     "AggKernel",
     "batch_updater",
     "filter_kernel",
+    "join_key",
     "join_keys",
     "partition",
     "probe",
@@ -309,11 +310,16 @@ def split_groups(
     return groups
 
 
-def join_keys(col: str, schema: Schema) -> RowsFn:
-    """``rows -> [row[col] ...]``: bare join-key values.  Join keys only
-    group and compare, where a scalar behaves exactly like the 1-tuple
+def join_key(col: str, schema: Schema) -> Callable[[tuple], Any]:
+    """``row -> row[col]``: a bare join-key value.  Join keys only group
+    and compare, where a scalar behaves exactly like the 1-tuple
     ``schema.projector`` gives, at C speed."""
-    get = itemgetter(schema.index_of(col))
+    return itemgetter(schema.index_of(col))
+
+
+def join_keys(col: str, schema: Schema) -> RowsFn:
+    """``rows -> [row[col] ...]``: :func:`join_key` over a batch."""
+    get = join_key(col, schema)
     return lambda rows: list(map(get, rows))
 
 

@@ -7,6 +7,7 @@ full engine would work but double-charges scans; instead this module
 applies each suffix operator directly, using the *same arithmetic* as
 the pipeline breakers in :mod:`repro.pushexec.compiler`:
 
+* sort and distinct run the bodies of :mod:`repro.relational.operators`;
 * aggregates accumulate through the same batch kernels
   (:mod:`repro.relational.kernels`) in input order (float accumulation
   is order-sensitive -- this is where byte identity is won or lost);
@@ -24,7 +25,6 @@ suffixes, the owning shard for shuffle-stage grouping).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List, Sequence
 
 from repro.pushexec.compiler import ExecContext
@@ -36,6 +36,7 @@ from repro.relational.kernels import (
     project_kernel,
     split_groups,
 )
+from repro.relational.operators import distinct, sort_rows
 from repro.relational.plans import (
     Aggregate,
     Distinct,
@@ -95,13 +96,11 @@ def _apply_one(
         yield from ctx.cpu(len(rows))
         return project_kernel(op.names, op.exprs, schema)(rows)
     if isinstance(op, Sort):
-        n = len(rows)
-        comparisons = n * max(1.0, math.log2(max(2, n)))
-        yield from ctx.cpu(
-            int(comparisons), factor=ctx.host.config.sort_cpu_factor
-        )
         out = list(rows)
-        out.sort(key=schema.projector(op.keys), reverse=op.descending)
+        yield from sort_rows(
+            out, schema.projector(op.keys), op.descending, ctx.cpu,
+            ctx.host.config.sort_cpu_factor,
+        )
         return out
     if isinstance(op, Aggregate):
         kernel = AggKernel(op.aggs, schema)
@@ -116,13 +115,7 @@ def _apply_one(
         return list(rows[op.offset:op.offset + op.count])
     if isinstance(op, Distinct):
         yield from ctx.cpu(len(rows))
-        seen = set()
-        out = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
+        return distinct(set(), rows)
     raise TypeError(f"no merge evaluator for {type(op).__name__}")
 
 

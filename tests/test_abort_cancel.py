@@ -143,6 +143,30 @@ def test_aborted_update_releases_exclusive_lock(big_db):
     assert after["rows"] == [(len(r_rows),)]
 
 
+def test_cancelled_spilling_sort_drops_its_runs():
+    """Cancelled at any point of its run spill or merge, the sort
+    µEngine leaves no temp file behind (its runs are created through
+    the shared operator library, so this is checked at run time)."""
+    from tests.test_engine_equivalence import build_db
+
+    plan = Sort(TableScan("r"), keys=["val"], descending=True)
+    host, sm = build_db()
+    engine = QPipeEngine(sm, QPipeConfig(work_mem_tuples=40))
+    proc = host.sim.spawn(engine.execute(plan))
+    host.sim.run()
+    finish = proc.value.finished_at
+    for step in range(1, 10):
+        host, sm = build_db()
+        files = set(sm.store.files())
+        engine = QPipeEngine(sm, QPipeConfig(work_mem_tuples=40))
+        box = spawn_catching(host, engine, plan)
+        host.sim.schedule(finish * step / 10, engine.cancel, 1, "cancel")
+        host.sim.run()
+        assert isinstance(box["error"], QueryAborted), step
+        assert set(sm.store.files()) == files, step
+        assert sm.pool._pins == {}
+
+
 def test_lock_release_where_and_release_if_held(db):
     host, sm, _r, _s = db
     locks = sm.locks

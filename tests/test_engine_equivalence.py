@@ -1,14 +1,18 @@
 """Engine equivalence: random plans and random SQL on every engine.
 
-The push engine runs the DBMS X persona, so its schedule is pinned
-exactly: for fixed seed lists it must reproduce the rows, the virtual
-clock and the disk counters recorded from the retired Volcano iterator
-engine (``iterator_reference.json``), at the default work_mem and under
-memory pressure.  Hypothesis then generates random (but well-formed)
-logical plans over the fixture tables, and the QPipe engine must return
-the push engine's rows on every one of them.  This covers scans, index
-scans, filters, projections, sorts, all three joins, aggregates and
-group-bys in random compositions.
+Both engines' schedules are pinned exactly.  The push engine runs the
+DBMS X persona: for fixed seed lists it must reproduce the rows, the
+virtual clock and the disk counters recorded from the retired Volcano
+iterator engine (``iterator_reference.json``), at the default work_mem
+and under memory pressure.  The packet engine (OSP on) replays its own
+recorded table (``qpipe_reference.json``) over the same seeds, plus the
+TPC-H EXISTS / outer-join queries and an INSERT/UPDATE/DELETE script, so
+its sort, merge-join, semi/outer-join and DML schedules cannot move.
+Hypothesis then generates random (but well-formed) logical plans over
+the fixture tables, and the QPipe engine must return the push engine's
+rows on every one of them.  This covers scans, index scans, filters,
+projections, sorts, all three joins, aggregates and group-bys in random
+compositions.
 """
 
 import hashlib
@@ -25,17 +29,22 @@ from repro.hw.host import Host, HostConfig
 from repro.relational.expressions import AggSpec, Col
 from repro.relational.plans import (
     Aggregate,
+    DeleteRows,
     Filter,
     GroupBy,
     HashJoin,
     IndexScan,
+    InsertRows,
     MergeJoin,
     NLJoin,
     Project,
     Sort,
     TableScan,
+    UpdateRows,
 )
 from repro.storage.manager import StorageManager
+from repro.workloads.tpch import TpchScale, load_tpch
+from repro.workloads.tpch import queries as Q
 
 import tests.conftest as cf
 
@@ -44,17 +53,34 @@ import tests.conftest as cf
 ITERATOR_REFERENCE = json.loads(
     (Path(__file__).parent / "iterator_reference.json").read_text()
 )
+#: The same entries as the packet engine (OSP on) produced them, plus its
+#: TPC-H, DML and merge-join-split runs.
+QPIPE_REFERENCE = json.loads(
+    (Path(__file__).parent / "qpipe_reference.json").read_text()
+)
 RECORDED_SEEDS = range(64)
 
 
-def observed(host, rows):
-    """One recorded-table entry for a finished run on *host*."""
+def observed(host, rows, clock=None):
+    """One recorded-table entry for a finished run on *host*; *clock*
+    defaults to the simulator's clock."""
     return [
         hashlib.sha256(repr(rows).encode()).hexdigest(),
-        host.sim.now,
+        host.sim.now if clock is None else clock,
         host.disk.stats.blocks_read,
         host.disk.stats.blocks_written,
     ]
+
+
+def run_observed(host, engine, plan):
+    """Run *plan* alone on *engine*; its recorded-table entry.
+
+    The clock is the query's finish time: the packet engine's deadlock
+    detector ticks on after the last query, which rounds ``sim.now`` up
+    to its period.  On the push engine the two are equal."""
+    proc = host.sim.spawn(engine.execute(plan), name="recorded")
+    host.sim.run()
+    return observed(host, proc.value.rows, proc.value.finished_at)
 
 
 def build_db():
@@ -140,32 +166,105 @@ def test_recorded_seeds_cover_every_plan_shape():
     list, and both memory settings were recorded for every seed."""
     shapes = [random_shaped_plan(seed)[0] for seed in RECORDED_SEEDS]
     assert all(shapes.count(shape) >= 3 for shape in range(6))
-    for table in ITERATOR_REFERENCE["random_plan"].values():
-        assert sorted(map(int, table)) == list(RECORDED_SEEDS)
+    for reference in (ITERATOR_REFERENCE, QPIPE_REFERENCE):
+        for table in reference["random_plan"].values():
+            assert sorted(map(int, table)) == list(RECORDED_SEEDS)
 
 
-def _check_recorded(label, **engine_kwargs):
-    table = ITERATOR_REFERENCE["random_plan"][label]
+def qpipe_engine(sm, **config):
+    """The packet engine with OSP on, as the recorded table ran it."""
+    return QPipeEngine(sm, QPipeConfig(osp_enabled=True, **config))
+
+
+def _check_recorded(reference, label, make_engine):
+    table = reference["random_plan"][label]
     for seed in RECORDED_SEEDS:
         host, sm = build_db()
-        rows = PushEngine(sm, **engine_kwargs).run_query(random_plan(seed))
+        got = run_observed(host, make_engine(sm), random_plan(seed))
         # Same rows in the same order, same virtual finish time, same
-        # disk traffic as the iterator reference.
-        assert observed(host, rows) == table[str(seed)], (
+        # disk traffic as the recorded reference.
+        assert got == table[str(seed)], (
             f"seed {seed} ({label}): {random_plan(seed)!r}"
         )
 
 
 def test_pushed_matches_recorded_iterator_table():
-    _check_recorded("default")
+    _check_recorded(ITERATOR_REFERENCE, "default", PushEngine)
 
 
 def test_pushed_agrees_under_memory_pressure():
     """The spill paths (external sort, Grace hash join) replay the
     recorded schedule too: a tiny work_mem forces them."""
-    _check_recorded("work_mem_40", work_mem_tuples=40)
+    _check_recorded(
+        ITERATOR_REFERENCE, "work_mem_40",
+        lambda sm: PushEngine(sm, work_mem_tuples=40),
+    )
     spilled = ITERATOR_REFERENCE["random_plan"]["work_mem_40"].values()
     assert sum(1 for entry in spilled if entry[3] > 0) >= 10
+
+
+def test_qpipe_matches_recorded_table():
+    _check_recorded(QPIPE_REFERENCE, "default", qpipe_engine)
+
+
+def test_qpipe_agrees_under_memory_pressure():
+    """The µEngines' run spill and k-way merge replay their schedule."""
+    _check_recorded(
+        QPIPE_REFERENCE, "work_mem_40",
+        lambda sm: qpipe_engine(sm, work_mem_tuples=40),
+    )
+    spilled = QPIPE_REFERENCE["random_plan"]["work_mem_40"].values()
+    assert sum(1 for entry in spilled if entry[3] > 0) >= 10
+
+
+def build_tpch_db():
+    host = Host(HostConfig())
+    sm = StorageManager(host, buffer_pages=256)
+    load_tpch(sm, TpchScale(factor=0.05), seed=7)
+    return host, sm
+
+
+def test_qpipe_matches_recorded_tpch_semi_and_outer_joins():
+    """Q4 (EXISTS: a semi join) and Q13 (a left-outer join) run in
+    sequence on one database; the counters are cumulative."""
+    host, sm = build_tpch_db()
+    engine = qpipe_engine(sm)
+    recorded = QPIPE_REFERENCE["tpch"]
+    for name in ("q4_exists", "q13_outer"):
+        got = run_observed(host, engine, getattr(Q, name)())
+        assert got == recorded[name], name
+
+
+def dml_script():
+    """An INSERT/UPDATE/DELETE script over the random-plan database,
+    each statement followed by a read of the table it changed."""
+    return [
+        InsertRows("s", [(900 + i, i * 3, 0.5 * i) for i in range(40)]),
+        Sort(TableScan("s"), keys=["sid"]),
+        UpdateRows(
+            "r", Col("grp") == 2,
+            lambda row: (row[0], row[1], row[2] + 1.0, row[3]),
+        ),
+        UpdateRows("s", None, lambda row: (row[0], row[1], -row[2])),
+        Sort(TableScan("r"), keys=["val"]),
+        DeleteRows("s", Col("rid") < 60),
+        DeleteRows("r", (Col("grp") == 5) & (Col("val") > 40.0)),
+        GroupBy(TableScan("r"), ["grp"], [AggSpec("count", None, "n")]),
+        Aggregate(TableScan("s"), [AggSpec("sum", Col("w"), "sw")]),
+        DeleteRows("s"),
+        Aggregate(TableScan("s"), [AggSpec("count", None, "n")]),
+    ]
+
+
+def test_qpipe_matches_recorded_dml_script():
+    host, sm = build_db()
+    engine = qpipe_engine(sm)
+    recorded = QPIPE_REFERENCE["dml"]
+    script = dml_script()
+    assert len(recorded) == len(script)
+    for step, (plan, entry) in enumerate(zip(script, recorded)):
+        got = run_observed(host, engine, plan)
+        assert got == entry, f"step {step}: {plan!r}"
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,13 +18,14 @@ engines lean on:
 """
 
 import math
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pushexec import fusion
-from repro.relational import kernels
+from repro.relational import kernels, operators
 from repro.relational.expressions import (
     AggSpec,
     And,
@@ -41,6 +42,7 @@ from repro.relational.expressions import (
     Or,
     bind_aggregates,
 )
+from repro.relational.plans import AntiJoin, LeftOuterJoin, SemiJoin
 from repro.relational.schema import Column, Schema
 
 SCHEMA = Schema(
@@ -372,6 +374,241 @@ def test_hash_join_kernels_match_per_row_loops(lrows, rrows, nparts, key):
     for row in lrows:
         want_parts[hash(proj(row)) % nparts].append(row)
     assert kernels.partition(keys(lrows), lrows, nparts) == want_parts
+
+
+# ---------------------------------------------------------------------------
+# The operator library (repro.relational.operators)
+# ---------------------------------------------------------------------------
+def drive(gen):
+    """Run a library coroutine outside the simulator: every event it
+    yields is answered with None."""
+    try:
+        next(gen)
+        while True:
+            gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+
+
+class FakeRun:
+    def __init__(self, index, pages):
+        self.index = index
+        self.pages = pages
+        self.num_pages = len(pages)
+
+
+class FakePage:
+    def __init__(self, rows):
+        self._rows = rows
+
+    def rows(self):
+        return list(self._rows)
+
+
+class FakeStore:
+    """Temp-page reads for the run merge; logs each read and, via
+    ``emit``, each row produced, so read order is compared too."""
+
+    def __init__(self):
+        self.log = []
+
+    def read_temp_page(self, run, block):
+        self.log.append(("read", run.index, block))
+        yield "disk"
+        return FakePage(run.pages[block])
+
+    def emit(self, row):
+        self.log.append(("row", row))
+
+
+def linear_merge(store, runs, key, reverse):
+    """The reference k-way merge: a linear scan over the run heads, the
+    lowest run index winning ties (the packet engine's former loop)."""
+    cursors = [{"run": run, "block": 0, "rows": [], "idx": 0} for run in runs]
+    for cursor in cursors:
+        if cursor["run"].num_pages:
+            page = yield from store.read_temp_page(cursor["run"], 0)
+            cursor["rows"], cursor["block"] = page.rows(), 1
+    while True:
+        best = None
+        for cursor in cursors:
+            if cursor["idx"] >= len(cursor["rows"]):
+                if cursor["block"] >= cursor["run"].num_pages:
+                    continue
+                page = yield from store.read_temp_page(
+                    cursor["run"], cursor["block"]
+                )
+                cursor["rows"], cursor["idx"] = page.rows(), 0
+                cursor["block"] += 1
+            rank = key(cursor["rows"][cursor["idx"]])
+            if best is None or (rank > best[0] if reverse else rank < best[0]):
+                best = (rank, cursor)
+        if best is None:
+            return
+        cursor = best[1]
+        store.emit(cursor["rows"][cursor["idx"]])
+        cursor["idx"] += 1
+
+
+def drain_merge(store, merge):
+    while True:
+        row = yield from merge.next()
+        if row is None:
+            return
+        store.emit(row)
+
+
+runs_st = st.lists(st.lists(st.integers(0, 6), max_size=14), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=runs_st, page_rows=st.integers(1, 4), reverse=st.booleans())
+def test_run_merge_matches_stable_sort_and_linear_scan(keys, page_rows,
+                                                       reverse):
+    """Random sorted runs with duplicate keys: the merge returns what a
+    stable ``sorted`` over the runs in order returns (ties to the lower
+    run), reading pages in the linear-scan merge's order."""
+    schema = Schema([Column("k", "int"), Column("run", "int"),
+                     Column("pos", "int")])
+    key = schema.projector(["k"])
+    runs = []
+    for index, run in enumerate(keys):
+        rows = sorted(
+            ((k, index, pos) for pos, k in enumerate(run)),
+            key=key, reverse=reverse,
+        )
+        pages = [rows[i:i + page_rows] for i in range(0, len(rows), page_rows)]
+        runs.append(FakeRun(index, pages))
+    want = sorted(
+        [row for run in runs for page in run.pages for row in page],
+        key=key, reverse=reverse,
+    )
+    store, ref_store = FakeStore(), FakeStore()
+    drive(drain_merge(store, operators.RunMerge(store, runs, key, reverse)))
+    drive(linear_merge(ref_store, runs, key, reverse))
+    assert [entry[1] for entry in store.log if entry[0] == "row"] == want
+    assert store.log == ref_store.log
+
+
+def feed(batches):
+    """A ``get()`` coroutine over *batches*, then None forever."""
+    queue = list(batches)
+
+    def get():
+        yield "batch"
+        return queue.pop(0) if queue else None
+
+    return get
+
+
+def charger(log):
+    def charge(tuples, factor=1.0):
+        log.append((tuples, factor))
+        yield "cpu"
+
+    return charge
+
+
+@settings(max_examples=100, deadline=None)
+@given(lrows=rows_st, rrows=rows_st,
+       key=st.sampled_from(("grp", "val", "name")),
+       size=st.sampled_from(BATCH_SIZES))
+def test_semi_anti_outer_kernels_match_per_row_loops(lrows, rrows, key, size):
+    """Build and probe against the per-row loops over 1-tuple
+    ``schema.projector`` keys the packet engine used to run; the build
+    charges one tuple per row of each batch and skips segment markers."""
+    proj = SCHEMA.projector([key])
+    keys = kernels.join_keys(key, SCHEMA)
+    want_keys, want_table = set(), {}
+    for row in rrows:
+        want_keys.add(proj(row))
+        want_table.setdefault(proj(row), []).append(row)
+    pad = (None,) * len(SCHEMA)
+    want_outer = []
+    for lrow in lrows:
+        matches = want_table.get(proj(lrow))
+        if matches:
+            for rrow in matches:
+                want_outer.append(lrow + rrow)
+        else:
+            want_outer.append(lrow + pad)
+    batches = batches_of(rrows, size)
+    marked = batches[:1] + [operators.SEGMENT_BOUNDARY] + batches[1:]
+    for plan, want in (
+        (SemiJoin(None, None, key, key), [
+            r for r in lrows if proj(r) in want_keys]),
+        (AntiJoin(None, None, key, key), [
+            r for r in lrows if proj(r) not in want_keys]),
+        (LeftOuterJoin(None, None, key, key), want_outer),
+    ):
+        build, probe = operators.build_probe_kernels(plan, len(SCHEMA))
+        charges = []
+        side = drive(build(feed(marked), keys, charger(charges)))
+        assert charges == [(len(b), 1.0) for b in batches]
+        got = run_batched(lambda b: probe(side, keys(b), b), lrows, size)
+        assert canon(got) == canon(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rows_st, size=st.sampled_from(BATCH_SIZES))
+def test_distinct_matches_per_row_loop(rows, size):
+    seen, want = set(), []
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            want.append(row)
+    seen = set()
+    got = run_batched(lambda b: operators.distinct(seen, b), rows, size)
+    assert canon(got) == canon(want)
+
+
+sorted_side = st.lists(st.tuples(st.integers(0, 8), st.integers()),
+                       max_size=30).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lrows=sorted_side, rrows=sorted_side,
+       lsize=st.sampled_from(BATCH_SIZES), rsize=st.sampled_from(BATCH_SIZES))
+def test_merge_join_groups_match_nested_loop(lrows, rrows, lsize, rsize):
+    """Over key-sorted inputs in any batch split (either side may be
+    empty), the matched groups' cross products, in order, are the
+    nested-loop join: left-major, ascending key."""
+    key = itemgetter(0)
+    want = [l + r for l in lrows for r in rrows if l[0] == r[0]]
+    left = operators.MergeCursor(feed(batches_of(lrows, lsize)))
+    right = operators.MergeCursor(feed(batches_of(rrows, rsize)))
+    got = []
+    while True:
+        groups = drive(operators.next_groups(left, right, key, key))
+        if groups is None:
+            break
+        lgroup, rgroup = groups
+        assert {key(r) for r in lgroup + rgroup} == {key(lgroup[0])}
+        got.extend(operators.cross(lgroup, rgroup))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(lrows=sorted_side, rest=sorted_side, rrows=sorted_side)
+def test_merge_join_pass_stops_at_a_segment_boundary(lrows, rest, rrows):
+    """A SEGMENT_BOUNDARY ends the pass over the left input's first
+    segment (section 4.3.2); the rows after it stay unread."""
+    key = itemgetter(0)
+    want = [l + r for l in lrows for r in rrows if l[0] == r[0]]
+    left = operators.MergeCursor(
+        feed([lrows, operators.SEGMENT_BOUNDARY, rest])
+    )
+    right = operators.MergeCursor(feed([rrows]))
+    got = []
+    while True:
+        groups = drive(operators.next_groups(left, right, key, key))
+        if groups is None:
+            break
+        got.extend(operators.cross(*groups))
+    assert got == want
+    assert not left.eos
+    if rrows and (not lrows or key(lrows[-1]) <= key(rrows[-1])):
+        assert left.segment_ended
 
 
 # ---------------------------------------------------------------------------

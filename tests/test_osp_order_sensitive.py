@@ -18,6 +18,7 @@ from repro.relational.plans import (
     IndexScan,
     MergeJoin,
 )
+from tests.test_engine_equivalence import QPIPE_REFERENCE, observed
 
 
 def mj_plan(agg_func: str = "count"):
@@ -119,8 +120,17 @@ def test_split_share_is_used(big_db):
         sm,
         QPipeConfig(osp_enabled=True, replay_tuples=64, buffer_tuples=256),
     )
-    run_two(big_db, engine, interarrival=solo_duration() / 2)
+    results = run_two(big_db, engine, interarrival=solo_duration() / 2)
     assert engine.osp_stats.mj_splits >= 1
+    # The split's whole schedule is pinned: both queries' rows, the
+    # virtual clock and the disk counters, and the number of splits.
+    recorded = QPIPE_REFERENCE["mj_split"]
+    assert observed(
+        host,
+        [r.rows for r in results],
+        [r.finished_at for r in results],
+    ) == recorded["observed"]
+    assert engine.osp_stats.mj_splits == recorded["mj_splits"]
 
 
 def test_split_rejected_when_not_worth_it():

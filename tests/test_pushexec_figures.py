@@ -7,7 +7,9 @@ Baseline cell, which must come out the same on the packet machinery and
 on the push backend, and the DBMS X cells of fig8 and fig12, which run
 on the push engine.  Each is checked serially and on a two-worker
 process pool.  The DBMS X hashes were recorded while that persona still
-ran on the Volcano iterator engine.
+ran on the Volcano iterator engine.  Every SMOKE cell of Figures 9
+(merge-join split) and 10 (sort-merge sharing) is pinned the same way:
+both run the packet µEngines' sort and merge join.
 
 The hashes are part of the repository's recorded results: if a change
 legitimately moves a figure, recompute them with the snippet in each
@@ -21,6 +23,8 @@ from repro.harness.config import CLIENT_SEED_BASE, SMOKE
 from repro.harness.experiments import (
     fig8_cell,
     fig8_cells,
+    fig9_cells,
+    fig10_cells,
     fig12_cells,
     force_engine,
     substitute_engine,
@@ -37,6 +41,14 @@ FIG12_CELL_SHA = (
 )
 FIG8_DBMSX_CELL_SHA = (
     "39fa9ec190eee7b6f4dff1100d6343e10918d044c75eac8f9e9a2596173f80c9"
+)
+#: sha256 of the canonical-JSON list of every SMOKE cell payload of a
+#: figure, in cell order.
+FIG9_CELLS_SHA = (
+    "a7d5c11c20189a46a397197874faafa844360986e8b84235e9cdf2255f3662b2"
+)
+FIG10_CELLS_SHA = (
+    "c16972c3b82be0c878720d6f94e520f9e8d5f09c9b18ee48622799223d8a85a4"
 )
 
 
@@ -99,6 +111,30 @@ def _check_cell(spec, committed_sha, substituted=True):
                 f"jobs={jobs}); if the figure legitimately moved, "
                 f"recompute with _sha(run_cells_serial([spec])[spec])"
             )
+
+
+def _figure_sha(specs, jobs):
+    with PoolRunner(jobs=jobs) as runner:
+        results = runner.run(specs)
+    return _sha([results[spec].payload for spec in specs])
+
+
+def _check_figure(specs, committed_sha):
+    for jobs in (1, 2):
+        got = _figure_sha(specs, jobs)
+        assert got == committed_sha, (
+            f"{specs[0].figure} cells hash {got} != committed "
+            f"{committed_sha} (jobs={jobs}); if the figure legitimately "
+            f"moved, recompute with _figure_sha(specs, 1)"
+        )
+
+
+def test_fig9_cells_hash_matches_committed_output():
+    _check_figure(fig9_cells(SMOKE), FIG9_CELLS_SHA)
+
+
+def test_fig10_cells_hash_matches_committed_output():
+    _check_figure(fig10_cells(SMOKE), FIG10_CELLS_SHA)
 
 
 def test_fig8_cell_hash_matches_committed_output():
