@@ -180,7 +180,7 @@ class BuildProbeJoinEngine(MicroEngine):
         catalog = self.engine.sm.catalog
         lkeys = join_keys(plan.left_key, plan.left.output_schema(catalog))
         rschema = plan.right.output_schema(catalog)
-        build, probe = build_probe_kernels(plan, len(rschema))
+        build, side_probe = build_probe_kernels(plan, len(rschema))
         left_in, right_in = packet.inputs
         charge = partial(self.charge, packet)
 
@@ -197,7 +197,7 @@ class BuildProbeJoinEngine(MicroEngine):
             if batch is SEGMENT_BOUNDARY:
                 continue
             yield from charge(len(batch))
-            out = probe(side, lkeys(batch), batch)
+            out = side_probe(side, lkeys(batch), batch)
             if out:
                 yield from packet.output.put(out)
 

@@ -652,8 +652,10 @@ def _compile(plan: PlanNode, ctx: ExecContext, choices: dict) -> Pipeline:
     if isinstance(plan, (SemiJoin, AntiJoin, LeftOuterJoin)):
         left = _compile(plan.left, ctx, choices)
         right = _compile(plan.right, ctx, choices)
-        build, probe = build_probe_kernels(plan, len(right.schema))
-        stage = fusion.ProbeStage(join_keys(plan.left_key, left.schema), probe)
+        build, side_probe = build_probe_kernels(plan, len(right.schema))
+        stage = fusion.ProbeStage(
+            join_keys(plan.left_key, left.schema), side_probe
+        )
         rkeys = join_keys(plan.right_key, right.schema)
         # The build side runs at the *root's* first pull, before
         # anything below the left input runs: outer preludes precede

@@ -266,12 +266,19 @@ class MergeCursor:
         return not self.rows and (self.eos or self.segment_ended)
 
     def take_group(self, key, value) -> Generator:
-        """Coroutine: pop every leading row whose key equals *value*,
-        across batch boundaries."""
+        """Coroutine: pop the head row (whose key is *value*) and every
+        following row whose key matches it, across batch boundaries.
+
+        A key matches if it *is* *value* or equals it -- the identity-
+        then-equality test of a tuple key -- so a NaN head still forms a
+        group of its own and the join always makes progress."""
         rows = self.rows
-        group: List[tuple] = []
+        group: List[tuple] = [rows.popleft()]
         while True:
-            while rows and key(rows[0]) == value:
+            while rows:
+                k = key(rows[0])
+                if k is not value and not k == value:
+                    break
                 group.append(rows.popleft())
             if rows:
                 return group

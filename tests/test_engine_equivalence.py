@@ -77,10 +77,18 @@ def run_observed(host, engine, plan):
 
     The clock is the query's finish time: the packet engine's deadlock
     detector ticks on after the last query, which rounds ``sim.now`` up
-    to its period.  On the push engine the two are equal."""
+    to its period.  Any other engine must leave nothing running after
+    its query -- no CPU burst, no timer -- so there the finish time must
+    be the simulator's final clock too."""
     proc = host.sim.spawn(engine.execute(plan), name="recorded")
     host.sim.run()
-    return observed(host, proc.value.rows, proc.value.finished_at)
+    result = proc.value
+    if not isinstance(engine, QPipeEngine):
+        assert host.sim.now == result.finished_at, (
+            f"simulated activity ran on to {host.sim.now} after the "
+            f"query finished at {result.finished_at}"
+        )
+    return observed(host, result.rows, result.finished_at)
 
 
 def build_db():

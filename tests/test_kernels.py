@@ -588,6 +588,35 @@ def test_merge_join_groups_match_nested_loop(lrows, rrows, lsize, rsize):
     assert got == want
 
 
+def merge_join_groups(lrows, rrows, key, size):
+    """Every ``(left group, right group)`` pair :func:`next_groups`
+    yields; fails if a call returns without consuming a row."""
+    left = operators.MergeCursor(feed(batches_of(lrows, size)))
+    right = operators.MergeCursor(feed(batches_of(rrows, size)))
+    out = []
+    for _ in range(len(lrows) + len(rrows) + 1):
+        groups = drive(operators.next_groups(left, right, key, key))
+        if groups is None:
+            return out
+        assert groups[0] and groups[1]
+        out.append(groups)
+    raise AssertionError("next_groups made no progress")
+
+
+@pytest.mark.parametrize("size", [1, 2, 64])
+def test_merge_join_nan_keys_group_like_tuple_keys(size):
+    """Scalar keys group NaN rows exactly as the 1-tuple keys they
+    replaced (identity, then equality), and a NaN head never stalls the
+    join."""
+    nan, other_nan = float("nan"), float("nan")
+    lrows = [(nan, 1), (nan, 2), (other_nan, 3), (4.0, 4)]
+    rrows = [(nan, 5), (nan, 6), (4.0, 7)]
+    scalar = merge_join_groups(lrows, rrows, itemgetter(0), size)
+    tupled = merge_join_groups(lrows, rrows, lambda row: (row[0],), size)
+    assert scalar == tupled
+    assert scalar[0] == ([(nan, 1), (nan, 2)], [(nan, 5), (nan, 6)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(lrows=sorted_side, rest=sorted_side, rrows=sorted_side)
 def test_merge_join_pass_stops_at_a_segment_boundary(lrows, rest, rrows):
