@@ -14,7 +14,8 @@ package implements those pieces from scratch:
   access paths and unclustered RID indexes).
 * :mod:`repro.storage.locks` -- table-level shared/exclusive locks
   (section 4.3.4: updates route through locking).
-* :mod:`repro.storage.manager` -- the facade the engines program against.
+* :mod:`repro.storage.manager` -- the facade the engines program against,
+  and the frozen loaded images that later loads restore.
 """
 
 from repro.storage.bufferpool import BufferPool
@@ -22,7 +23,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
 from repro.storage.locks import LockManager, LockMode
-from repro.storage.manager import StorageManager
+from repro.storage.manager import StorageImage, StorageManager
 from repro.storage.page import RID, Page
 from repro.storage.partition import (
     PartitionInfo,
@@ -70,6 +71,7 @@ __all__ = [
     "PartitionInfo",
     "RID",
     "ReplacementPolicy",
+    "StorageImage",
     "StorageManager",
     "TableInfo",
     "hash_partition",

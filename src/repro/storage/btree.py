@@ -36,6 +36,18 @@ def _new_internal() -> dict:
     return {"leaf": False, "keys": [], "children": []}
 
 
+def copy_node(node: dict) -> dict:
+    """An independent copy of one node: fresh ``keys``/``children``
+    lists and, in a leaf, fresh per-key value lists.  Keys and values
+    themselves are shared (immutable)."""
+    if node["leaf"]:
+        return {"leaf": True, "keys": node["keys"].copy(),
+                "vals": list(map(list.copy, node["vals"])),
+                "next": node["next"]}
+    return {"leaf": False, "keys": node["keys"].copy(),
+            "children": node["children"].copy()}
+
+
 class BPlusTree:
     """A B+tree over ``(key, value)`` pairs with duplicate keys allowed.
 

@@ -90,5 +90,9 @@ class Catalog:
     def tables(self) -> List[str]:
         return sorted(self._tables)
 
+    def infos(self) -> List[TableInfo]:
+        """Every table's metadata, in creation order."""
+        return list(self._tables.values())
+
     def __contains__(self, name: str) -> bool:
         return name in self._tables

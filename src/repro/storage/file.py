@@ -11,7 +11,7 @@ anything page-shaped).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.faults.errors import PageCorruptError
 from repro.storage.page import Page, RID
@@ -77,6 +77,23 @@ class BlockStore:
 
     def files(self) -> Iterator[int]:
         return iter(self._files)
+
+    def copy_from(
+        self, other: "BlockStore", copy_block: Callable[[Any], Any]
+    ) -> None:
+        """Become a block-for-block copy of *other*, in place.
+
+        File ids, names and the next id match exactly, so block
+        addresses (and the disk seeks they cost) do too.  Each payload
+        is copied by *copy_block*; corruption marks are not copied.
+        """
+        self._files = {
+            file_id: list(map(copy_block, blocks))
+            for file_id, blocks in other._files.items()
+        }
+        self._names = dict(other._names)
+        self._next_id = other._next_id
+        self._corrupt = {}
 
     # -- corruption marks (fault injection) ------------------------------
     def corrupt_block(

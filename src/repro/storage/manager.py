@@ -12,12 +12,14 @@ Everything engines need from storage goes through here:
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.host import Host
 from repro.relational.schema import Schema
-from repro.storage.btree import BPlusTree
+from repro.storage.btree import BPlusTree, copy_node
 from repro.storage.bufferpool import BufferPool
 from repro.storage.catalog import Catalog, IndexInfo, TableInfo
 from repro.storage.file import BlockStore, HeapFile
@@ -152,11 +154,35 @@ class StorageManager:
                 for slot, row in heap.page(block_no).items()
             ]
         pairs.sort(key=_pair_key)
-        if index.tree.num_keys:
-            # Rebuild from scratch (load after create_index).
-            index.tree = BPlusTree(self.store, index.name, self.index_order)
-            info.indexes[index.name] = index
+        # The tree is empty here: create_index made it just now, or
+        # load_table found the table without rows (so without keys).
         index.tree.bulk_build(iter(pairs))
+
+    # ------------------------------------------------------------------
+    # Loaded images (untimed: a load replayed without re-running it)
+    # ------------------------------------------------------------------
+    @property
+    def is_fresh(self) -> bool:
+        """True until the first file is created; only a fresh manager
+        can :meth:`restore` an image."""
+        return self.store._next_id == 0
+
+    def image(self) -> "StorageImage":
+        """A frozen copy of everything loaded so far: blocks, file ids,
+        catalog.  Later changes to this manager do not reach it."""
+        store = BlockStore()
+        return StorageImage(
+            store, _copy_tables(self.store, self.catalog.infos(), store)
+        )
+
+    def restore(self, image: "StorageImage") -> None:
+        """Fill this fresh manager with a private copy of *image*: the
+        same files under the same ids (so the same disk seeks), fresh
+        heap, tree and catalog objects, and no corruption marks."""
+        if not self.is_fresh:
+            raise ValueError("restore() needs a fresh, empty storage manager")
+        for info in _copy_tables(image.store, image.tables, self.store):
+            self.catalog.add_table(info)
 
     @staticmethod
     def _key_fn(schema: Schema, columns: Sequence[str]):
@@ -352,3 +378,47 @@ class StorageManager:
 
     def table_file_id(self, table: str) -> int:
         return self.catalog.table(table).heap.file_id
+
+
+@dataclass(frozen=True)
+class StorageImage:
+    """A loaded database frozen for replay: a private block store and
+    the tables bound to it, in creation order.  Only
+    :meth:`StorageManager.image` builds one and only copies of it ever
+    leave it, so nothing mutates it."""
+
+    store: BlockStore
+    tables: Tuple[TableInfo, ...]
+
+
+def _copy_block(payload: Any) -> Any:
+    # Eager copy: every mutable container a timed write or an index
+    # insert can touch is fresh; rows, keys and RIDs are immutable and
+    # shared.
+    return payload.copy() if type(payload) is Page else copy_node(payload)
+
+
+def _rebound(handle: Any, store: BlockStore) -> Any:
+    """A heap file or B+tree *handle* (same id, same counters) on
+    *store*, which holds a copy of its file."""
+    clone = copy.copy(handle)
+    clone.store = store
+    return clone
+
+
+def _copy_tables(
+    src: BlockStore, tables: Sequence[TableInfo], dst: BlockStore
+) -> Tuple[TableInfo, ...]:
+    """Copy *src*'s blocks into *dst*; returns *tables* rebound to it."""
+    dst.copy_from(src, _copy_block)
+    return tuple(
+        replace(
+            info,
+            heap=_rebound(info.heap, dst),
+            indexes={
+                name: replace(index, tree=_rebound(index.tree, dst))
+                for name, index in info.indexes.items()
+            },
+        )
+        for info in tables
+    )

@@ -112,6 +112,14 @@ class Page:
         self._slots.extend(taken)
         return len(taken)
 
+    def copy(self) -> "Page":
+        """An independent page with the same slots (rows are shared:
+        they are immutable tuples)."""
+        clone = Page.__new__(Page)
+        clone.capacity = self.capacity
+        clone._slots = self._slots.copy()
+        return clone
+
     def rows(self) -> List[tuple]:
         """All live rows in slot order."""
         return [row for row in self._slots if row is not None]

@@ -10,10 +10,10 @@ filler -- the queries never read them, they only size the rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.storage.manager import StorageManager
+from repro.storage.manager import StorageImage, StorageManager
 from repro.workloads.tpch import schema as S
 
 
@@ -44,25 +44,43 @@ class TpchScale:
         return max(3, int(100 * self.factor))
 
 
+@dataclass
+class _Generated:
+    """One memo entry: the generated tables and their loaded images."""
+
+    tables: Dict[str, List[tuple]]
+    #: Storage images of the loaded tables, by (with_indexes, index
+    #: order): with (factor, seed), everything that decides the store.
+    images: Dict[tuple, StorageImage] = field(default_factory=dict)
+
+
 #: Memo for generated datasets, keyed by (factor, seed).  Generation is a
 #: pure function of those two values, and regenerating identical tables
 #: for every experiment data point dominated macro wall-clock (DESIGN.md
-#: section 10).  Rows are immutable tuples; callers get fresh list copies
-#: so loaded tables stay independent of the cache.
-_GENERATED_CACHE: Dict[tuple, Dict[str, List[tuple]]] = {}
+#: section 10); so is loading them, hence the images.  Rows are immutable
+#: tuples; callers get fresh list copies and restored stores get fresh
+#: pages and nodes, so nothing a caller does reaches the cache.
+_GENERATED_CACHE: Dict[tuple, _Generated] = {}
 _GENERATED_CACHE_MAX = 8
+
+
+def _memo(scale: TpchScale, seed: int) -> _Generated:
+    key = (scale.factor, seed)
+    entry = _GENERATED_CACHE.get(key)
+    if entry is None:
+        entry = _Generated(_generate_tpch(scale, seed))
+        # Deterministic memo: the value is a pure function of the key
+        # and eviction follows insertion order, so cell payloads cannot
+        # observe whether the cache was warm.
+        if len(_GENERATED_CACHE) >= _GENERATED_CACHE_MAX:
+            _GENERATED_CACHE.pop(next(iter(_GENERATED_CACHE)))  # simlint: disable=IPR201
+        _GENERATED_CACHE[key] = entry  # simlint: disable=IPR201
+    return entry
 
 
 def generate_tpch(scale: TpchScale, seed: int = 1) -> Dict[str, List[tuple]]:
     """All eight tables as row lists, keyed by table name."""
-    key = (scale.factor, seed)
-    cached = _GENERATED_CACHE.get(key)
-    if cached is None:
-        cached = _generate_tpch(scale, seed)
-        if len(_GENERATED_CACHE) >= _GENERATED_CACHE_MAX:
-            _GENERATED_CACHE.pop(next(iter(_GENERATED_CACHE)))
-        _GENERATED_CACHE[key] = cached
-    return {name: list(rows) for name, rows in cached.items()}
+    return {name: list(rows) for name, rows in _memo(scale, seed).tables.items()}
 
 
 def _generate_tpch(scale: TpchScale, seed: int) -> Dict[str, List[tuple]]:
@@ -207,8 +225,18 @@ def load_tpch(
     Orders and lineitem are clustered on their order keys (dbgen emits
     them in that order), which is what the paper's merge-join plans for
     Q4 exploit.
+
+    Into a fresh *sm* the load runs once per (factor, seed,
+    with_indexes, index order) and process: later loads restore a
+    private copy of the memoized storage image, block for block.
     """
     tables = generate_tpch(scale, seed=seed)
+    images = _memo(scale, seed).images
+    image_key = (with_indexes, sm.index_order)
+    fresh = sm.is_fresh
+    if fresh and image_key in images:
+        sm.restore(images[image_key])
+        return tables
     clustering = {
         "lineitem": ["l_orderkey"],
         "orders": ["o_orderkey"],
@@ -231,4 +259,6 @@ def load_tpch(
         sm.create_index(
             "customer", ["c_custkey"], name="c_custkey_idx", clustered=True
         )
+    if fresh:
+        images[image_key] = sm.image()
     return tables

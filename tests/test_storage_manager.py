@@ -133,6 +133,27 @@ def test_index_created_before_load_is_built():
     assert len(pairs) == 1
 
 
+def test_index_written_then_emptied_before_load_matches_one_built_after():
+    host, sm = make_sm()
+    sm.create_table("t", SCHEMA)
+    sm.create_index("t", ["grp"], name="t_grp_before")
+
+    def write_and_remove():
+        rid = yield from sm.insert_row("t", (-1, 3, "gone"))
+        yield from sm.delete_row("t", rid)
+
+    drive(host, write_and_remove())
+    sm.load_table("t", ROWS)
+    sm.create_index("t", ["grp"], name="t_grp_after")
+    before = sm.catalog.index("t", "t_grp_before").tree
+    after = sm.catalog.index("t", "t_grp_after").tree
+    assert before.num_keys == after.num_keys == 5
+    assert before.num_entries == after.num_entries == len(ROWS)
+    for grp in range(-1, 6):
+        assert before.search(grp) == after.search(grp)
+    before.check_invariants()
+
+
 def test_insert_row_maintains_indexes():
     host, sm = make_sm()
     sm.create_table("t", SCHEMA)
